@@ -8,7 +8,7 @@ evaluation (``analysis``).  The ``cli`` module exposes them as the
 ``buildingflow`` command.
 """
 
-from .algebra import FiniteField, LaurentMatrix, laurent_val_deg, kernel_dim, mat_det_adj
+from .algebra import FiniteField, LaurentMatrix, kernel_dim
 from .analysis import (
     SprReport,
     closed_N,
@@ -56,9 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FiniteField",
     "LaurentMatrix",
-    "laurent_val_deg",
     "kernel_dim",
-    "mat_det_adj",
     "SprReport",
     "closed_N",
     "closed_f",

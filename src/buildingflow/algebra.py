@@ -254,20 +254,6 @@ class FiniteField:
         return f"FiniteField({self.q})"
 
 
-def field_arith(field: FiniteField, a: int, b: int, op: str) -> int:
-    """Dispatch one field operation: op in {'add', 'mul', 'inv'}.
-
-    ``inv`` ignores b and raises ValueError on a == 0.
-    """
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "inv":
-        return field.inv(a)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def is_supported_q(q: int) -> bool:
     """Whether FiniteField(q) can be built without a user polynomial."""
     try:
@@ -326,18 +312,6 @@ def laurent_mul(field: FiniteField, f: dict, g: dict) -> dict:
             else:
                 out.pop(e, None)
     return out
-
-
-def laurent_val_deg(f: dict) -> tuple[float, float]:
-    """(val, deg) of a Laurent polynomial; (+inf, -inf) for zero.
-
-    With val(t) = -1 the valuation of a nonzero f is exactly -deg_t(f),
-    and the absolute value is q**deg.
-    """
-    if not f:
-        return math.inf, -math.inf
-    d = max(f)
-    return -d, d
 
 
 def laurent_deg(f: dict) -> float:
@@ -493,11 +467,6 @@ class LaurentMatrix:
         return f"LaurentMatrix(q={self.field.q}, {body})"
 
 
-def mat_det_adj(m: LaurentMatrix) -> tuple[dict, LaurentMatrix]:
-    """Exact determinant and adjugate of a Laurent-polynomial matrix."""
-    return m.det_adj()
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra over F_q
 # ---------------------------------------------------------------------------
@@ -529,34 +498,7 @@ def matrix_rank(field: FiniteField, rows: list[list[int]], ncols: int | None = N
                     acc |= 1 << j
             packed.append(acc)
         return _rank_gf2(packed)
-    work = [list(r) for r in rows]
-    m = len(work)
-    rank = 0
-    mul = field.mul
-    sub = field.sub
-    inv = field.inv
-    for col in range(ncols):
-        piv = -1
-        for i in range(rank, m):
-            if work[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pr = work[rank]
-        pinv = inv(pr[col])
-        if pinv != 1:
-            work[rank] = pr = [mul(pinv, v) for v in pr]
-        for i in range(m):
-            if i != rank and work[i][col]:
-                c = work[i][col]
-                ri = work[i]
-                work[i] = [sub(a, mul(c, b)) for a, b in zip(ri, pr)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return len(_echelon(field, rows, ncols)[1])
 
 
 def _rank_gf2(packed_rows: list[int]) -> int:
@@ -572,19 +514,21 @@ def _rank_gf2(packed_rows: list[int]) -> int:
     return len(basis)
 
 
-def kernel_basis(field: FiniteField, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """A basis of the right null space, for verification in tests."""
+def _echelon(field: FiniteField, rows: list[list[int]], ncols: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan elimination over F_q on the first ``ncols`` columns.
+
+    Returns the reduced rows (padded to ``ncols``; row r has a 1 in
+    column pivots[r] and zeros above and below it) and the pivot columns.
+    """
     work = [list(r) + [0] * (ncols - len(r)) for r in rows]
     m = len(work)
     mul, sub, inv = field.mul, field.sub, field.inv
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        piv = -1
-        for i in range(rank, m):
-            if work[i][col]:
-                piv = i
-                break
+        rank = len(pivots)
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if work[i][col]), -1)
         if piv < 0:
             continue
         work[rank], work[piv] = work[piv], work[rank]
@@ -597,12 +541,14 @@ def kernel_basis(field: FiniteField, rows: list[list[int]], ncols: int) -> list[
                 c = work[i][col]
                 work[i] = [sub(a, mul(c, b)) for a, b in zip(work[i], pr)]
         pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return work, pivots
+
+
+def kernel_basis(field: FiniteField, rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """A basis of the right null space, for verification in tests."""
+    work, pivots = _echelon(field, rows, ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
         for r, pc in enumerate(pivots):

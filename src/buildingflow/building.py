@@ -20,6 +20,7 @@ test suite holds the two against each other.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,7 +29,6 @@ from .algebra import (
     LaurentMatrix,
     laurent_deg,
     kernel_dim,
-    _rank_gf2,
 )
 from .errors import BudgetExceededError, InternalConsistencyError
 from . import shift as shift_mod
@@ -240,7 +240,6 @@ def _section_dim(
     D(k) = k + maxadj - detdeg (+ margin).  D(k) bounds the degree of
     every solution, so this equals the unconstrained section dimension.
     """
-    field = rep.field
     dim = rep.dim
     D = k + maxadj - detdeg + margin
     if D < 0:
@@ -249,38 +248,16 @@ def _section_dim(
     s_hi = D + maxrep
     if s_hi <= k:
         return ncols
-    if field.q == 2:
-        packed = []
-        for j in range(dim):
-            col = [rep.rows[i][j] for i in range(dim)]
-            for s in range(k + 1, s_hi + 1):
-                acc = 0
-                for i in range(dim):
-                    ent = col[i]
-                    base = i * (D + 1)
-                    for e in range(D + 1):
-                        if ent.get(s - e, 0):
-                            acc |= 1 << (base + e)
-                if acc:
-                    packed.append(acc)
-        return ncols - _rank_gf2(packed)
     rows = []
     for j in range(dim):
-        col = [rep.rows[i][j] for i in range(dim)]
         for s in range(k + 1, s_hi + 1):
             row = [0] * ncols
-            nonzero = False
             for i in range(dim):
-                ent = col[i]
-                base = i * (D + 1)
+                ent = rep.rows[i][j]
                 for e in range(D + 1):
-                    c = ent.get(s - e, 0)
-                    if c:
-                        row[base + e] = c
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    return kernel_dim(field, rows, ncols)
+                    row[i * (D + 1) + e] = ent.get(s - e, 0)
+            rows.append(row)
+    return kernel_dim(rep.field, rows, ncols)
 
 
 def birkhoff_invariant(v: VertexClass, degree_margin: int = 0):
@@ -412,23 +389,17 @@ def continuation_moves(field: FiniteField, dim: int = 3) -> list[LaurentMatrix]:
 def _move_col_recipes(field: FiniteField, dim: int):
     """Dense column recipes for the moves, in ``continuation_moves`` order.
 
-    A recipe lists, per output column, the (input column, coefficient,
-    t-shift) terms; right multiplication acts row by row.
+    A recipe lists, per output column j, the (input column k, coefficient
+    c, t-shift s) terms, one per nonzero c t^s in entry (k, j) of the
+    move; right multiplication acts row by row.
     """
-    recipes = []
-    if dim == 3:
-        recipes.append((((0, 1, 1),), ((1, 1, 0),), ((2, 1, 0),)))
-        for b in field.units():
-            recipes.append((((0, b, 1), (1, 1, 0)), ((0, 1, 1),), ((2, 1, 0),)))
-        for c in field.units():
-            for d in field.elements():
-                first = ((0, c, 1), (1, d, 0), (2, 1, 0)) if d else ((0, c, 1), (2, 1, 0))
-                recipes.append((first, ((0, 1, 1),), ((1, 1, 0),)))
-    else:
-        recipes.append((((0, 1, 1),), ((1, 1, 0),)))
-        for b in field.units():
-            recipes.append((((0, b, 1), (1, 1, 0)), ((0, 1, 1),)))
-    return recipes
+    return [
+        tuple(
+            tuple((k, c, s) for k in range(dim) for s, c in sorted(u.rows[k][j].items()))
+            for j in range(dim)
+        )
+        for u in continuation_moves(field, dim)
+    ]
 
 
 _STRAIGHT = 0  # index of the move a itself within the recipe list
@@ -697,7 +668,8 @@ def oracle_g_f(
 
         tasks = [(q, field.irreducible, dim, n, (j,)) for j in range(n_moves)]
         g_total = f_total = 0
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        workers = min(threads, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for g, f in pool.map(_count_worker, tasks):
                 g_total += g
                 f_total += f

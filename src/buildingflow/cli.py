@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from collections import deque
 
 from . import analysis, building, crosscheck, shift
 from .algebra import is_supported_q
@@ -106,33 +107,24 @@ def _choice(value: str, allowed: tuple[str, ...], what: str) -> str:
 
 def _count_rows(args) -> list[tuple[int, int]]:
     period = _PERIOD[args.flow]
+    ns = range(period, args.steps + 1, period)
+    first_return = args.kind == "f"
+    if args.method == "dp":
+        if ns and args.flow != "pgl3":
+            raise CliError("method dp is defined for flow pgl3 only")
+        profs = shift.dp_sweep(args.q, args.steps - args.steps % period, taboo=first_return)
+        base = shift.base_edge()
+        return [(n, p.get(base, 0)) for n, p in enumerate(profs) if n and n % period == 0]
+    if args.method == "closed":
+        if args.flow == "pgl2":
+            return [(n, analysis.pgl2_closed(args.q, n, args.kind)) for n in ns]
+        closed = analysis.closed_f if first_return else analysis.closed_g
+        return [(n, closed(args.q, n)) for n in ns]
     dim = 3 if args.flow == "pgl3" else 2
-    rows = []
-    for n in range(period, args.steps + 1, period):
-        if args.method == "dp":
-            if args.flow != "pgl3":
-                raise CliError("method dp is defined for flow pgl3 only")
-            value = shift.dp_f(args.q, n) if args.kind == "f" else shift.dp_g(args.q, n)
-        elif args.method == "closed":
-            if args.flow == "pgl3":
-                value = (
-                    analysis.closed_f(args.q, n)
-                    if args.kind == "f"
-                    else analysis.closed_g(args.q, n)
-                )
-            else:
-                value = analysis.pgl2_closed(args.q, n, args.kind)
-        else:
-            value = building.oracle_counts(
-                args.q,
-                n,
-                dim=dim,
-                first_return=(args.kind == "f"),
-                max_leaves=args.max_leaves,
-                threads=args.threads,
-            )
-        rows.append((n, value))
-    return rows
+    return [
+        (n, building.oracle_counts(args.q, n, dim, first_return, args.max_leaves, args.threads))
+        for n in ns
+    ]
 
 
 def _profile_rows(args) -> list[tuple[int, int, int]]:
@@ -140,7 +132,7 @@ def _profile_rows(args) -> list[tuple[int, int, int]]:
     if n % 3:
         raise CliError("kind N needs steps to be a multiple of 3")
     if args.method == "dp":
-        prof = shift.dp_profiles(args.q, n)[n]
+        prof = deque(shift.dp_sweep(args.q, n), maxlen=1).pop()
     elif args.method == "closed":
         m = n // 3
         prof = {}
@@ -168,51 +160,32 @@ def cmd_count(args) -> int:
         if args.flow != "pgl3":
             raise CliError("kind N is defined for flow pgl3 only")
         rows = _profile_rows(args)
-        if fmt == "human":
-            print(f"{'k':>6} {'l':>6} {'count':>12}")
-            for k2, l2, c in rows:
-                print(f"{_half(k2):>6} {_half(l2):>6} {c:>12}")
-        elif fmt == "json":
-            print(
-                _json(
-                    {
-                        "command": "count",
-                        "q": args.q,
-                        "flow": args.flow,
-                        "kind": "N",
-                        "method": args.method,
-                        "steps": args.steps,
-                        "rows": [
-                            {"k2": k2, "l2": l2, "count": str(c)} for k2, l2, c in rows
-                        ],
-                    }
-                )
-            )
-        else:
-            print(_csv(["k2", "l2", "count"], [(k2, l2, str(c)) for k2, l2, c in rows]))
-        return EXIT_OK
-
-    rows = _count_rows(args)
-    if fmt == "human":
-        print(f"{'n':>4} {'count':>24}")
-        for n, c in rows:
-            print(f"{n:>4} {c:>24}")
-    elif fmt == "json":
-        print(
-            _json(
-                {
-                    "command": "count",
-                    "q": args.q,
-                    "flow": args.flow,
-                    "kind": args.kind,
-                    "method": args.method,
-                    "steps": args.steps,
-                    "rows": [{"n": n, "count": str(c)} for n, c in rows],
-                }
-            )
-        )
+        cols, titles, widths = ("k2", "l2", "count"), ("k", "l", "count"), (6, 6, 12)
+        human = [(_half(k2), _half(l2), c) for k2, l2, c in rows]
     else:
-        print(_csv(["n", "count"], [(n, str(c)) for n, c in rows]))
+        rows = _count_rows(args)
+        cols, titles, widths, human = ("n", "count"), ("n", "count"), (4, 24), rows
+    if fmt == "human":
+        for cells in (titles, *human):
+            print(" ".join(f"{v:>{w}}" for v, w in zip(cells, widths)))
+        return EXIT_OK
+    rows = [(*r[:-1], str(r[-1])) for r in rows]  # counts cross the wire as decimal text
+    if fmt == "csv":
+        print(_csv(list(cols), rows))
+        return EXIT_OK
+    print(
+        _json(
+            {
+                "command": "count",
+                "q": args.q,
+                "flow": args.flow,
+                "kind": args.kind,
+                "method": args.method,
+                "steps": args.steps,
+                "rows": [dict(zip(cols, r)) for r in rows],
+            }
+        )
+    )
     return EXIT_OK
 
 
@@ -375,14 +348,7 @@ def cmd_weights(args) -> int:
                     "q": args.q,
                     "m_max": args.m_max,
                     "source": "oracle" if args.from_oracle else "fold",
-                    "edges": [
-                        {
-                            "from": {"k2": e.k2, "l2": e.l2},
-                            "to": {"k2": s.k2, "l2": s.l2},
-                            "weight": str(w),
-                        }
-                        for e, s, w in items
-                    ],
+                    "edges": shift.graph_records(table),
                 }
             )
         )
@@ -489,6 +455,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        if args.threads < 1:
+            raise CliError("--threads must be >= 1")
         if getattr(args, "from_oracle", None) is None and hasattr(args, "from_oracle"):
             args.from_oracle = False
         return args.func(args)

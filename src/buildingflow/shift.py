@@ -13,6 +13,7 @@ exact integer arithmetic; counts are arbitrary-precision ints.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -273,16 +274,29 @@ def dp_step(profile: CountProfile, q: int) -> CountProfile:
     return out
 
 
-def dp_profiles(q: int, steps: int) -> list[CountProfile]:
+def dp_sweep(q: int, steps: int, taboo: bool = False) -> Iterator[CountProfile]:
     """Endpoint distributions N_0 .. N_steps of lifted paths started on
-    the base edge.  No truncation: after s steps the total mass is
-    exactly q^(2s)."""
-    prof: CountProfile = {base_edge(): 1}
-    out = [dict(prof)]
+    the base edge, one DP step apart.  No truncation: without ``taboo``
+    the total mass after s steps is exactly q^(2s).
+
+    With ``taboo`` (first returns) the base-edge mass is dropped from
+    the profile after it has been yielded, from step 1 on; the yielded
+    dicts themselves are never changed afterwards.
+    """
+    base = base_edge()
+    prof: CountProfile = {base: 1}
+    yield prof
     for _ in range(steps):
         prof = dp_step(prof, q)
-        out.append(dict(prof))
-    return out
+        yield prof
+        if taboo and base in prof:
+            prof = dict(prof)
+            del prof[base]
+
+
+def dp_profiles(q: int, steps: int) -> list[CountProfile]:
+    """Endpoint distributions N_0 .. N_steps (see ``dp_sweep``)."""
+    return list(dp_sweep(q, steps))
 
 
 def profile_mass(profile: CountProfile) -> int:
@@ -292,16 +306,12 @@ def profile_mass(profile: CountProfile) -> int:
 def dp_g(q: int, n: int) -> int:
     """Closed cycles of length n over the origin, by quotient DP.
 
-    Zero unless n is a multiple of 3 (the flow has period 3).
+    The sweep itself gives zero unless n is a multiple of 3 (the flow
+    has period 3).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n % 3:
-        return 0
-    prof: CountProfile = {base_edge(): 1}
-    for _ in range(n):
-        prof = dp_step(prof, q)
-    return prof.get(base_edge(), 0)
+    return deque(dp_sweep(q, n), maxlen=1).pop().get(base_edge(), 0)
 
 
 def dp_f(q: int, n: int) -> int:
@@ -309,14 +319,7 @@ def dp_f(q: int, n: int) -> int:
     mass sitting on the base edge is removed at every intermediate step."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n % 3:
-        return 0
-    prof: CountProfile = {base_edge(): 1}
-    for s in range(1, n + 1):
-        prof = dp_step(prof, q)
-        if s < n:
-            prof.pop(base_edge(), None)
-    return prof.get(base_edge(), 0)
+    return deque(dp_sweep(q, n, taboo=True), maxlen=1).pop().get(base_edge(), 0)
 
 
 def three_step_coefficients(q: int) -> tuple[int, int, int, int]:

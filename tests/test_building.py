@@ -323,6 +323,30 @@ def test_oracle_threads_merge():
     assert building.oracle_g_f(2, 4, threads=2) == building.oracle_g_f(2, 4)
 
 
+def test_oracle_pool_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(building.os, "cpu_count", lambda: 1)
+    assert building.oracle_g_f(2, 3, threads=8) == (24, 24)
+    assert sizes == [1]
+
+
 def test_oracle_terminal_profile_matches_dp():
     prof = building.oracle_terminal_profile(2, 3)
     assert prof == shift.dp_profiles(2, 3)[3]

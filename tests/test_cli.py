@@ -162,3 +162,22 @@ def test_threads_flag(capsys):
                        "--threads", "2", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines() == ["n,count", "3,24"]
+
+
+def test_threads_below_one_exit_2(capsys):
+    for bad in ("0", "-5"):
+        code, _, err = run(capsys, "count", "--q", "2", "--steps", "3", "--method", "oracle",
+                           "--threads", bad)
+        assert code == 2
+        assert "--threads must be >= 1" in err
+
+
+def test_validate_capacity_limit_is_skip(capsys):
+    """q = 67 has no field tables: the oracle checks skip with the reason."""
+    code, out, _ = run(capsys, "validate", "--q", "67", "--steps", "3", "--m-max", "2")
+    assert code == 0
+    lines = {line.split()[1]: line for line in out.splitlines()[:-1]}
+    for name in ("census_vs_fold", "oracle_period_zeros", "pgl2_closed_vs_oracle"):
+        assert lines[name].startswith("SKIP")
+        assert "capacity limit: tables unavailable for q=67" in lines[name]
+    assert "FAIL" not in out

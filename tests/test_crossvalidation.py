@@ -113,3 +113,20 @@ def test_renewal_consistency_direct_convolution():
 
 def test_internal_error_type_exposed():
     assert issubclass(InternalConsistencyError, RuntimeError)
+
+
+def test_period_zero_checks_run_the_dp(monkeypatch):
+    """Mass leaked onto the base edge off the period-3 grid must show."""
+    real_step = shift.dp_step
+
+    def leaky_step(profile, q):
+        out = real_step(profile, q)
+        out[shift.base_edge()] = out.get(shift.base_edge(), 0) + 1
+        return out
+
+    monkeypatch.setattr(shift, "dp_step", leaky_step)
+    assert shift.dp_g(2, 4) != 0
+    cfg = crosscheck.ValidationConfig(q=2, steps=3, m_max=2, max_leaves=1, prefix_len=1)
+    by_name = {r.name: r for r in crosscheck.run_validation(cfg)}
+    assert not by_name["period_zeros_dp"].passed
+    assert not by_name["period_zeros_dp"].skipped
