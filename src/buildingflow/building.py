@@ -16,10 +16,18 @@ a row-reduced form of M maintained incrementally; the reduced row
 degrees are the Birkhoff exponents.  ``birkhoff_invariant`` recomputes
 the same exponents by the independent section-dimension route and the
 test suite holds the two against each other.
+
+The walk's row format is private to ``_Walker``.  For q = 2 a
+representative is dim rows of dim ints, bit i of an entry being its
+coefficient of t^i: a move XORs shifted ints and a reduction step looks
+its null vector up in ``_gf2_null_table``.  Every other q keeps entries
+as coefficient lists driven by the field's tables; at q = 2 both give
+the same representatives.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -410,10 +418,6 @@ _STRAIGHT = 0  # index of the move a itself within the recipe list
 # ---------------------------------------------------------------------------
 
 
-def _dense_identity(dim: int) -> list[list[list[int]]]:
-    return [[[1] if i == j else [] for j in range(dim)] for i in range(dim)]
-
-
 def _apply_move(rows, recipe, addt, mult):
     out = []
     for row in rows:
@@ -487,17 +491,29 @@ def _left_null_vector(lc, dim, mult, addt, negt, invt):
     return vec
 
 
-def _reduce_rows(rows, dim, mult, addt, negt, invt):
+def _finish_reduction(degs, detdeg):
+    """Return degs once the leading-coefficient matrix is invertible,
+    after checking that the reduced degree sum equals deg det."""
+    if sum(degs) != detdeg:
+        raise InternalConsistencyError(
+            f"reduced row degrees {degs} do not sum to deg det = {detdeg}"
+        )
+    return degs
+
+
+def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt):
     """Row-reduce in place over the polynomial ring; returns row degrees.
 
-    Terminates because the degree sum strictly drops and is bounded
-    below by deg det; on exit the leading-coefficient matrix is
-    invertible, so the sorted row degrees are the Birkhoff exponents.
+    ``detdeg`` is the t-degree of det(rows).  Each step lowers the
+    degree sum by at least one, the sum never drops below deg det, and
+    it equals deg det once the leading-coefficient matrix is invertible
+    (then the sorted row degrees are the Birkhoff exponents); so at most
+    sum(degs) - detdeg + 1 rounds are needed.
     """
     degs = [max(len(e) - 1 for e in row) for row in rows]
     if min(degs) < 0:
         raise InternalConsistencyError("zero row in a vertex representative")
-    for _ in range(64 * (sum(degs) + 2)):
+    for _ in range(sum(degs) - detdeg + 1):
         lc = []
         for i in range(dim):
             d = degs[i]
@@ -505,7 +521,7 @@ def _reduce_rows(rows, dim, mult, addt, negt, invt):
             lc.append([e[d] if len(e) - 1 == d else 0 for e in row])
         c = _left_null_vector(lc, dim, mult, addt, negt, invt)
         if c is None:
-            return degs
+            return _finish_reduction(degs, detdeg)
         i_star = -1
         for i in range(dim):
             if c[i] and (i_star < 0 or degs[i] > degs[i_star]):
@@ -537,7 +553,98 @@ def _reduce_rows(rows, dim, mult, addt, negt, invt):
             raise InternalConsistencyError("row reduction produced a zero row")
         rows[i_star] = new_row
         degs[i_star] = max(len(e) - 1 for e in new_row)
-    raise InternalConsistencyError("row reduction failed to terminate")
+    raise InternalConsistencyError(
+        f"row reduction did not finish within its bound (deg det = {detdeg})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# q = 2: GF(2)[t] entries packed into ints, bit i the coefficient of t^i
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _gf2_null_table(dim: int) -> tuple:
+    """Left null vectors of every dim x dim matrix over GF(2).
+
+    A matrix is indexed by its entries read row by row as bits, entry
+    (0, 0) the most significant.  Its slot holds None when it is
+    invertible, else the ascending support of the vector
+    ``_left_null_vector`` picks for it.
+    """
+    f = FiniteField(2)
+    negt = [f.neg(a) for a in range(2)]
+    top = dim * dim - 1
+    table = []
+    for idx in range(1 << (dim * dim)):
+        lc = [[(idx >> (top - i * dim - j)) & 1 for j in range(dim)] for i in range(dim)]
+        c = _left_null_vector(lc, dim, f.mul_table, f.add_table, negt, f.inv_table)
+        table.append(None if c is None else tuple(i for i in range(dim) if c[i]))
+    return tuple(table)
+
+
+def _apply_move_gf2(rows, recipe):
+    """rows @ u for a move u over GF(2); recipe lists, per output
+    column, the (input column, t-shift) pairs of u's nonzero terms."""
+    out = []
+    for row in rows:
+        new_row = []
+        for terms in recipe:
+            acc = 0
+            for k, s in terms:
+                acc ^= row[k] << s
+            new_row.append(acc)
+        out.append(new_row)
+    return out
+
+
+def _reduce_rows_gf2(rows, dim, detdeg, null_table):
+    """``_reduce_rows`` over GF(2)[t] on packed rows, step for step: the
+    same null vector and pivot row, so the same rows and degrees.
+
+    A row of degree d has every entry below 2^(d+1), so e >> d is the
+    entry's coefficient of t^d; ``idx`` holds those bits for every row
+    and only the replaced row's bits change in a step.
+    """
+    degs = []
+    idx = 0
+    for row in rows:
+        d = max(row).bit_length() - 1
+        if d < 0:
+            raise InternalConsistencyError("zero row in a vertex representative")
+        degs.append(d)
+        for e in row:
+            idx = idx << 1 | e >> d
+    excess = sum(degs) - detdeg
+    row_mask = (1 << dim) - 1
+    for _ in range(excess + 1):
+        support = null_table[idx]
+        if support is None:
+            return _finish_reduction(degs, detdeg)
+        i_star = support[0]
+        for i in support:
+            if degs[i] > degs[i_star]:
+                i_star = i
+        d_star = degs[i_star]
+        new_row = rows[i_star]
+        for i in support:
+            if i != i_star:
+                s = d_star - degs[i]
+                new_row = [a ^ (b << s) for a, b in zip(new_row, rows[i])]
+        d = max(new_row).bit_length() - 1
+        if d < 0:
+            raise InternalConsistencyError("row reduction produced a zero row")
+        rows[i_star] = new_row
+        degs[i_star] = d
+        excess += d - d_star
+        bits = 0
+        for e in new_row:
+            bits = bits << 1 | e >> d
+        at = (dim - 1 - i_star) * dim
+        idx = idx & ~(row_mask << at) | bits << at
+    raise InternalConsistencyError(
+        f"row reduction did not finish within its bound (deg det = {detdeg})"
+    )
 
 
 def _pair_from_degs(degs, dim):
@@ -547,44 +654,67 @@ def _pair_from_degs(degs, dim):
     return s[0] - s[1]
 
 
-def _rows_to_matrix(rows, field) -> LaurentMatrix:
-    return LaurentMatrix(
-        field,
-        [[{e: c for e, c in enumerate(ent) if c} for ent in row] for row in rows],
-    )
-
-
 class _Walker:
-    """Shared state for enumerating continuation words."""
+    """Shared state for enumerating continuation words.
+
+    A node is (rows, depth): a row-reduced representative of the vertex
+    reached by a word of that length, whose determinant has t-degree
+    depth since every move's does 1.  Only the walker reads rows: for
+    q = 2 each entry is an int with bit i the coefficient of t^i, else
+    a list of field elements, lowest degree first.
+    """
 
     def __init__(self, field: FiniteField, dim: int):
         self.field = field
         self.dim = dim
-        self.addt = field.add_table
-        self.mult = field.mul_table
-        self.negt = [field.neg(a) for a in range(field.q)]
-        self.invt = field.inv_table
-        self.recipes = _move_col_recipes(field, dim)
+        self.packed = field.q == 2
+        recipes = _move_col_recipes(field, dim)
+        if self.packed:
+            self.null_table = _gf2_null_table(dim)
+            self.recipes = [
+                tuple(tuple((k, s) for k, _, s in terms) for terms in recipe)
+                for recipe in recipes
+            ]
+        else:
+            self.addt = field.add_table
+            self.mult = field.mul_table
+            self.negt = [field.neg(a) for a in range(field.q)]
+            self.invt = field.inv_table
+            self.recipes = recipes
 
     def start(self):
-        rows = _dense_identity(self.dim)
-        return rows, [0] * self.dim
+        dim = self.dim
+        if self.packed:
+            rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        else:
+            rows = [[[1] if i == j else [] for j in range(dim)] for i in range(dim)]
+        return (rows, 0), [0] * dim
 
-    def child(self, rows, recipe):
-        nr = _apply_move(rows, recipe, self.addt, self.mult)
-        nd = _reduce_rows(nr, self.dim, self.mult, self.addt, self.negt, self.invt)
-        return nr, nd
+    def child(self, node, recipe):
+        rows, depth = node
+        depth += 1
+        if self.packed:
+            nr = _apply_move_gf2(rows, recipe)
+            nd = _reduce_rows_gf2(nr, self.dim, depth, self.null_table)
+        else:
+            nr = _apply_move(rows, recipe, self.addt, self.mult)
+            nd = _reduce_rows(nr, self.dim, depth, self.mult, self.addt, self.negt, self.invt)
+        return (nr, depth), nd
 
-    def walk_word(self, word):
-        rows, degs = self.start()
-        for j in word:
-            rows, degs = self.child(rows, self.recipes[j])
-        return rows, degs
+    def to_matrix(self, node) -> LaurentMatrix:
+        """The representative carried by node."""
+        rows, _ = node
+        if self.packed:
+            rows = [[[(x >> e) & 1 for e in range(x.bit_length())] for x in row] for row in rows]
+        return LaurentMatrix(
+            self.field,
+            [[{e: c for e, c in enumerate(ent) if c} for ent in row] for row in rows],
+        )
 
-    def classify(self, rows, degs) -> shift_mod.QuotientEdge:
-        """Quotient edge of the building edge carried by rows (dim 3)."""
+    def classify(self, node, degs) -> shift_mod.QuotientEdge:
+        """Quotient edge of the building edge carried by node (dim 3)."""
         src = _pair_from_degs(degs, self.dim)
-        tr, td = self.child(rows, self.recipes[_STRAIGHT])
+        _, td = self.child(node, self.recipes[_STRAIGHT])
         tgt = _pair_from_degs(td, self.dim)
         qe = shift_mod.QuotientEdge(shift_mod.QVertex(*src), shift_mod.QVertex(*tgt))
         if not qe.is_valid():
@@ -601,21 +731,19 @@ def _count_run(field: FiniteField, dim: int, n: int, prefix=()) -> tuple[int, in
     interior visits."""
     wk = _Walker(field, dim)
     recipes = wk.recipes
-    rows, degs = wk.start()
+    node, degs = wk.start()
     interior = False
     depth = 0
     for j in prefix:
-        rows, degs = wk.child(rows, recipes[j])
+        node, degs = wk.child(node, recipes[j])
         depth += 1
-        if sum(degs) != depth:
-            raise InternalConsistencyError("degree sum drifted from word length")
         if depth < n and max(degs) == min(degs):
             interior = True
 
     g_total = 0
     f_total = 0
 
-    def rec(rows, degs, depth, interior):
+    def rec(node, degs, depth, interior):
         nonlocal g_total, f_total
         at_origin = max(degs) == min(degs)
         if depth == n:
@@ -628,13 +756,13 @@ def _count_run(field: FiniteField, dim: int, n: int, prefix=()) -> tuple[int, in
             interior = True
         child = wk.child
         for recipe in recipes:
-            nr, nd = child(rows, recipe)
-            rec(nr, nd, depth + 1, interior)
+            nn, nd = child(node, recipe)
+            rec(nn, nd, depth + 1, interior)
 
     if depth == n:
         at_origin = max(degs) == min(degs)
         return (1 if at_origin else 0, 1 if at_origin and not interior else 0)
-    rec(rows, degs, depth, interior)
+    rec(node, degs, depth, interior)
     return g_total, f_total
 
 
@@ -706,16 +834,16 @@ def oracle_terminal_profile(
     wk = _Walker(field, 3)
     out: Counter = Counter()
 
-    def rec(rows, degs, depth):
+    def rec(node, degs, depth):
         if depth == n:
-            out[wk.classify(rows, degs)] += 1
+            out[wk.classify(node, degs)] += 1
             return
         for recipe in wk.recipes:
-            nr, nd = wk.child(rows, recipe)
-            rec(nr, nd, depth + 1)
+            nn, nd = wk.child(node, recipe)
+            rec(nn, nd, depth + 1)
 
-    rows, degs = wk.start()
-    rec(rows, degs, 0)
+    node, degs = wk.start()
+    rec(node, degs, 0)
     return dict(out)
 
 
@@ -734,9 +862,9 @@ def oracle_transition_census(
     if field is None:
         field = FiniteField(q)
     wk = _Walker(field, 3)
-    rows, degs = wk.start()
-    start = wk.classify(rows, degs)
-    lifts = {start: rows}
+    node, degs = wk.start()
+    start = wk.classify(node, degs)
+    lifts = {start: node}
     census: dict[shift_mod.QuotientEdge, dict[shift_mod.QuotientEdge, int]] = {}
     frontier = [start]
     while frontier:
@@ -744,19 +872,19 @@ def oracle_transition_census(
         for qe in frontier:
             if max(qe.source.m, qe.target.m) > m_max:
                 continue
-            rows = lifts[qe]
+            node = lifts[qe]
             succs: Counter = Counter()
             for recipe in wk.recipes:
-                nr, nd = wk.child(rows, recipe)
-                child_qe = wk.classify(nr, nd)
+                nn, nd = wk.child(node, recipe)
+                child_qe = wk.classify(nn, nd)
                 succs[child_qe] += 1
                 if child_qe not in lifts:
-                    lifts[child_qe] = nr
+                    lifts[child_qe] = nn
                     nxt.append(child_qe)
             census[qe] = dict(succs)
         frontier = nxt
     if with_lifts:
-        return census, {qe: _rows_to_matrix(r, field) for qe, r in lifts.items()}
+        return census, {qe: wk.to_matrix(node) for qe, node in lifts.items()}
     return census
 
 
@@ -791,14 +919,14 @@ def oracle_prefix_mismatches(
     reference: dict = {}
     mismatches: list[str] = []
 
-    def rec(rows, degs, word):
-        qe = wk.classify(rows, degs)
+    def rec(node, degs, word):
+        qe = wk.classify(node, degs)
         children = []
         succs: Counter = Counter()
         for recipe in wk.recipes:
-            nr, nd = wk.child(rows, recipe)
-            children.append((nr, nd))
-            succs[wk.classify(nr, nd)] += 1
+            nn, nd = wk.child(node, recipe)
+            children.append((nn, nd))
+            succs[wk.classify(nn, nd)] += 1
         if qe in reference:
             if reference[qe] != succs:
                 mismatches.append(
@@ -807,11 +935,11 @@ def oracle_prefix_mismatches(
         else:
             reference[qe] = succs
         if len(word) < max_len:
-            for j, (nr, nd) in enumerate(children):
-                rec(nr, nd, word + (j,))
+            for j, (nn, nd) in enumerate(children):
+                rec(nn, nd, word + (j,))
 
-    rows, degs = wk.start()
-    rec(rows, degs, ())
+    node, degs = wk.start()
+    rec(node, degs, ())
     return mismatches
 
 
@@ -855,6 +983,11 @@ def fast_invariant(mat: LaurentMatrix):
         ]
         for row in mat.rows
     ]
+    det, _ = mat.det_adj()
+    if not det:
+        raise ValueError("singular representative")
     negt = [field.neg(a) for a in range(field.q)]
-    degs = _reduce_rows(rows, dim, field.mul_table, field.add_table, negt, field.inv_table)
+    degs = _reduce_rows(
+        rows, dim, int(laurent_deg(det)), field.mul_table, field.add_table, negt, field.inv_table
+    )
     return _pair_from_degs(degs, dim)

@@ -110,7 +110,7 @@ def _count_rows(args) -> list[tuple[int, int]]:
     ns = range(period, args.steps + 1, period)
     first_return = args.kind == "f"
     if args.method == "dp":
-        if ns and args.flow != "pgl3":
+        if args.flow != "pgl3":
             raise CliError("method dp is defined for flow pgl3 only")
         profs = shift.dp_sweep(args.q, args.steps - args.steps % period, taboo=first_return)
         base = shift.base_edge()

@@ -24,7 +24,7 @@ from buildingflow.building import (
     up_neighbors,
     vertex_type,
 )
-from buildingflow.errors import BudgetExceededError
+from buildingflow.errors import BudgetExceededError, InternalConsistencyError
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -373,6 +373,76 @@ def test_find_lift():
     assert birkhoff_invariant(lift.source) == (2, 1)
     assert birkhoff_invariant(lift.target) == (2, 2)
     assert building.find_lift(2, 1, 0, m_max=3) is not None
+
+
+def test_census_lifts_decode_to_their_edges():
+    """Every lift the census hands out, decoded to a matrix, lies over
+    its key by the independent section-dimension route."""
+    census, lifts = building.oracle_transition_census(2, 4, with_lifts=True)
+    assert set(census) <= set(lifts)
+    a = building.std_step(F2)
+    for qe, mat in lifts.items():
+        assert quotient_edge_of(BDirectedEdge(VertexClass(mat), VertexClass(mat @ a))) == qe
+
+
+@pytest.mark.parametrize("dim,max_depth", [(3, 5), (2, 8)])
+def test_packed_walk_matches_table_path(dim, max_depth):
+    """The q = 2 walker's packed rows, decoded, equal the rows the
+    general table path gives at every node of every word."""
+    wk = building._Walker(F2, dim)
+    assert wk.packed
+    table_recipes = building._move_col_recipes(F2, dim)
+    tables = (F2.mul_table, F2.add_table, [F2.neg(a) for a in range(2)], F2.inv_table)
+
+    def dense(rows):
+        return LaurentMatrix(F2, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
+
+    def rec(node, degs, rows, depth):
+        assert wk.to_matrix(node) == dense(rows)
+        if depth == max_depth:
+            return
+        for packed, recipe in zip(wk.recipes, table_recipes):
+            nn, nd = wk.child(node, packed)
+            nr = building._apply_move(rows, recipe, F2.add_table, F2.mul_table)
+            assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
+            rec(nn, nd, nr, depth + 1)
+
+    node, degs = wk.start()
+    identity = [[[1] if i == j else [] for j in range(dim)] for i in range(dim)]
+    rec(node, degs, identity, 0)
+
+
+def test_reduction_stops_at_its_bound(monkeypatch):
+    """A null vector that never lowers the degree sum is tried exactly
+    sum(degs) - deg det + 1 times, then the reduction raises, on both
+    reducers; a deg det the reduced degrees do not add up to raises."""
+    # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1
+    m = LaurentMatrix(F3, [[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]])
+    assert fast_invariant(m) == birkhoff_invariant(VertexClass(m)) == (1, 0)
+    tries = []
+
+    def stuck(lc, dim, *tables):
+        tries.append(lc)
+        return [1, 0, 0]  # keeps row 0 as it is
+
+    monkeypatch.setattr(building, "_left_null_vector", stuck)
+    with pytest.raises(InternalConsistencyError, match="did not finish"):
+        fast_invariant(m)
+    assert len(tries) == 2
+
+    class StuckTable:
+        def __getitem__(self, idx):
+            tries.append(idx)
+            return (0,)
+
+    tries.clear()
+    rows = [[0b10, 0b100, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(InternalConsistencyError, match="did not finish"):
+        building._reduce_rows_gf2(rows, 3, 1, StuckTable())
+    assert len(tries) == 2
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(InternalConsistencyError, match="do not sum"):
+        building._reduce_rows_gf2(identity, 3, -1, (None,) * 512)
 
 
 def test_prefix_independence_short():
