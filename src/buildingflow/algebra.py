@@ -287,13 +287,6 @@ def laurent_neg(field: FiniteField, f: dict) -> dict:
     return {e: neg(c) for e, c in f.items()}
 
 
-def laurent_scale(field: FiniteField, f: dict, c: int) -> dict:
-    if c == 0:
-        return {}
-    mul = field.mul
-    return {e: mul(v, c) for e, v in f.items()}
-
-
 def laurent_shift(f: dict, j: int) -> dict:
     """Multiply by the monomial t^j."""
     return {e + j: c for e, c in f.items()}
@@ -316,18 +309,6 @@ def laurent_mul(field: FiniteField, f: dict, g: dict) -> dict:
 
 def laurent_deg(f: dict) -> float:
     return -math.inf if not f else max(f)
-
-
-def poly(field: FiniteField, *terms: tuple[int, int]) -> dict:
-    """Build a Laurent polynomial from (exponent, coefficient) pairs."""
-    out: dict = {}
-    for e, c in terms:
-        s = field.add(out.get(e, 0), c)
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
 
 
 # ---------------------------------------------------------------------------

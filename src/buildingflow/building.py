@@ -766,6 +766,20 @@ def _count_run(field: FiniteField, dim: int, n: int, prefix=()) -> tuple[int, in
     return g_total, f_total
 
 
+def oracle_leaves(q: int, n: int, dim: int = 3) -> int:
+    """Leaves of the depth-n walk: q^(2n) words in dim 3, q^n in dim 2."""
+    return q ** ((dim - 1) * n)
+
+
+def _field_for(q: int, field: FiniteField | None) -> FiniteField:
+    """``field``, or F_q when it is None; a field of another size raises."""
+    if field is None:
+        return FiniteField(q)
+    if field.q != q:
+        raise ValueError(f"{field!r} does not have q={q} elements")
+    return field
+
+
 def _count_worker(args):
     q, irreducible, dim, n, prefix = args
     field = FiniteField(q, irreducible)
@@ -785,9 +799,8 @@ def oracle_g_f(
     (dim 2) exceeds ``max_leaves``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if field is None:
-        field = FiniteField(q)
-    leaves = (q * q) ** n if dim == 3 else q**n
+    field = _field_for(q, field)
+    leaves = oracle_leaves(q, n, dim)
     if leaves > max_leaves:
         raise BudgetExceededError(leaves, max_leaves)
     n_moves = q * q if dim == 3 else q
@@ -826,9 +839,8 @@ def oracle_terminal_profile(
 ) -> dict[shift_mod.QuotientEdge, int]:
     """Distribution of terminal quotient edges over all length-n words
     (dim 3); the building-side mirror of one DP endpoint profile."""
-    if field is None:
-        field = FiniteField(q)
-    leaves = (q * q) ** n
+    field = _field_for(q, field)
+    leaves = oracle_leaves(q, n)
     if leaves > max_leaves:
         raise BudgetExceededError(leaves, max_leaves)
     wk = _Walker(field, 3)
@@ -859,8 +871,7 @@ def oracle_transition_census(
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    if field is None:
-        field = FiniteField(q)
+    field = _field_for(q, field)
     wk = _Walker(field, 3)
     node, degs = wk.start()
     start = wk.classify(node, degs)
@@ -893,8 +904,7 @@ def find_lift(
 ) -> BDirectedEdge | None:
     """One concrete building edge over the quotient edge named (k2/2,
     l2/2), or None when the breadth-first search does not reach it."""
-    if field is None:
-        field = FiniteField(q)
+    field = _field_for(q, field)
     target = shift_mod.QuotientEdge.from_doubled(k2, l2)
     _, lifts = oracle_transition_census(q, m_max, field, with_lifts=True)
     mat = lifts.get(target)
@@ -913,8 +923,7 @@ def oracle_prefix_mismatches(
     observation for the same quotient edge; returns human-readable
     mismatch descriptions (empty means the property holds).
     """
-    if field is None:
-        field = FiniteField(q)
+    field = _field_for(q, field)
     wk = _Walker(field, 3)
     reference: dict = {}
     mismatches: list[str] = []
@@ -949,8 +958,7 @@ def oracle_path_vertices(
     """Raw vertex representatives visited by the depth-n enumeration
     (every stride-th node in depth-first order), as plain matrices.
     Used to sample genuine vertices for invariant robustness checks."""
-    if field is None:
-        field = FiniteField(q)
+    field = _field_for(q, field)
     moves = continuation_moves(field, 3)
     out: list[LaurentMatrix] = []
     counter = 0

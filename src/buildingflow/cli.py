@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -161,7 +162,7 @@ def cmd_count(args) -> int:
             raise CliError("kind N is defined for flow pgl3 only")
         rows = _profile_rows(args)
         cols, titles, widths = ("k2", "l2", "count"), ("k", "l", "count"), (6, 6, 12)
-        human = [(_half(k2), _half(l2), c) for k2, l2, c in rows]
+        human = [(shift.half(k2), shift.half(l2), c) for k2, l2, c in rows]
     else:
         rows = _count_rows(args)
         cols, titles, widths, human = ("n", "count"), ("n", "count"), (4, 24), rows
@@ -215,7 +216,7 @@ def cmd_validate(args) -> int:
                     "steps": args.steps,
                     "m_max": args.m_max,
                     "passed": ok,
-                    "checks": [r.as_dict() for r in results],
+                    "checks": [dataclasses.asdict(r) for r in results],
                 }
             )
         )
@@ -365,10 +366,6 @@ def cmd_weights(args) -> int:
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
-
-
-def _half(x2: int) -> str:
-    return str(x2 // 2) if x2 % 2 == 0 else f"{x2}/2"
 
 
 def _json(obj) -> str:

@@ -26,16 +26,6 @@ class CheckResult:
     actual: str = ""
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "expected": self.expected,
-            "actual": self.actual,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class ValidationConfig:
@@ -77,40 +67,39 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     grid = [3 * n for n in ns]
     oracle_ns = [n for n in range(3, cfg.steps + 1, 3)]
     base = shift.base_edge()
-    # one DP sweep per kind (closed, first-return) to the longest n any
-    # check reads (N_12 for three_step_recursion), made inside the first
-    # check that needs it, so a fault there is reported as that check's FAIL
-    horizon = max([12, *grid] + [n for n in oracle_ns if (q * q) ** n <= cfg.max_leaves])
+    # One DP sweep per kind (closed, first-return) to the longest n any
+    # check reads (N_12 for three_step_recursion), and one oracle walk per
+    # (n, dim), each made inside the first check that needs it.  A fault
+    # is that check's FAIL, and every later reader's too: functools.cache
+    # keeps no exceptions.
+    horizon = max(
+        [12, *grid] + [n for n in oracle_ns if building.oracle_leaves(q, n) <= cfg.max_leaves]
+    )
     sweep = functools.cache(lambda taboo: list(shift.dp_sweep(q, horizon, taboo)))
+    walk = functools.cache(
+        lambda n, dim: building.oracle_g_f(q, n, dim, cfg.max_leaves, cfg.threads)
+    )
 
     def counts(steps: list[int], taboo: bool = False) -> list[int]:
         return [sweep(taboo)[n].get(base, 0) for n in steps]
 
-    def closed_vs_dp_g():
-        pairs = list(zip(counts(grid), [analysis.closed_g(q, n) for n in grid]))
-        bad = [(n, a, b) for n, (a, b) in zip(ns, pairs) if a != b]
-        return CheckResult(
-            "closed_vs_dp_g",
-            not bad,
-            expected=str([b for _, b in pairs]),
-            actual=str([a for a, _ in pairs]),
-            detail=f"mismatch at n={bad}" if bad else f"n=1..{ns[-1]}",
-        )
+    for name, taboo, closed in (
+        ("closed_vs_dp_g", False, analysis.closed_g),
+        ("closed_vs_dp_f", True, analysis.closed_f),
+    ):
 
-    results.append(_check("closed_vs_dp_g", closed_vs_dp_g))
+        def closed_vs_dp(name=name, taboo=taboo, closed=closed):
+            pairs = list(zip(counts(grid, taboo), [closed(q, n) for n in grid]))
+            bad = [(n, a, b) for n, (a, b) in zip(ns, pairs) if a != b]
+            return CheckResult(
+                name,
+                not bad,
+                expected=str([b for _, b in pairs]),
+                actual=str([a for a, _ in pairs]),
+                detail=f"mismatch at n={bad}" if bad else f"n=1..{ns[-1]}",
+            )
 
-    def closed_vs_dp_f():
-        pairs = list(zip(counts(grid, True), [analysis.closed_f(q, n) for n in grid]))
-        bad = [(n, a, b) for n, (a, b) in zip(ns, pairs) if a != b]
-        return CheckResult(
-            "closed_vs_dp_f",
-            not bad,
-            expected=str([b for _, b in pairs]),
-            actual=str([a for a, _ in pairs]),
-            detail=f"mismatch at n={bad}" if bad else f"n=1..{ns[-1]}",
-        )
-
-    results.append(_check("closed_vs_dp_f", closed_vs_dp_f))
+        results.append(_check(name, closed_vs_dp))
 
     def renewal():
         gs, fs = counts(grid), counts(grid, True)
@@ -160,7 +149,7 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
                     continue
                 want = analysis.closed_N(q, n, e.k2, e.l2)
                 have = prof.get(e, 0)
-                if (want == 0) != (have == 0) or want != have:
+                if want != have:
                     bad.append((n, e.pretty(), have, want))
         return CheckResult(
             "n_table_closed_vs_dp",
@@ -184,32 +173,20 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     )
 
     def three_step():
-        got = shift.three_step_coefficients(q)  # self-verifying
-        return CheckResult(
-            "three_step_coefficients",
-            True,
-            expected=str(
-                (q * q * (q * q - 1) * (q * q - q), q**4 * (q * q - q), q**4 * (q * q - q), q**6)
-            ),
-            actual=str(got),
-        )
+        # raises unless the coefficients equal the expected polynomials
+        got = str(shift.three_step_coefficients(q))
+        return CheckResult("three_step_coefficients", True, expected=got, actual=got)
 
     results.append(_check("three_step_coefficients", three_step))
 
     def three_step_recursion():
         coeffs = shift.three_step_coefficients(q)
-        feeders = [
-            shift.QuotientEdge.from_doubled(1, 0),
-            shift.QuotientEdge.from_doubled(3, 1),
-            shift.QuotientEdge.from_doubled(4, 3),
-            shift.QuotientEdge.from_doubled(5, 5),
-        ]
+        profs = sweep(False)
         bad = []
         for n in (1, 2, 3):
-            profs = sweep(False)
             prev, nxt = profs[3 * n], profs[3 * n + 3]
-            predicted = sum(c * prev.get(e, 0) for c, e in zip(coeffs, feeders))
-            got = nxt.get(shift.base_edge(), 0)
+            predicted = sum(c * prev.get(e, 0) for c, e in zip(coeffs, shift.THREE_STEP_FEEDERS))
+            got = nxt.get(base, 0)
             if predicted != got:
                 bad.append((n, predicted, got))
         return CheckResult(
@@ -222,12 +199,8 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     results.append(_check("three_step_recursion", three_step_recursion))
 
     def mass():
-        profs = sweep(False)[:10]
-        bad = [
-            (s, shift.profile_mass(p), (q * q) ** s)
-            for s, p in enumerate(profs)
-            if shift.profile_mass(p) != (q * q) ** s
-        ]
+        masses = map(shift.profile_mass, sweep(False)[:10])
+        bad = [(s, m, (q * q) ** s) for s, m in enumerate(masses) if m != (q * q) ** s]
         return CheckResult(
             "mass_conservation",
             not bad,
@@ -328,20 +301,16 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
 
     for name, first_return in (("oracle_vs_dp_g", False), ("oracle_vs_dp_f", True)):
 
-        def oracle_check(first_return=first_return):
+        def oracle_check(name=name, first_return=first_return):
             per_n = []
             skipped_n = []
             for n in oracle_ns:
-                leaves = (q * q) ** n
+                leaves = building.oracle_leaves(q, n)
                 if leaves > cfg.max_leaves:
                     skipped_n.append((n, leaves))
                     continue
-                got = building.oracle_counts(
-                    q, n, first_return=first_return,
-                    max_leaves=cfg.max_leaves, threads=cfg.threads,
-                )
-                want = counts([n], first_return)[0]
-                per_n.append((n, got, want))
+                # the walk gives (closed, first-return): index 0 or 1
+                per_n.append((n, walk(n, 3)[first_return], counts([n], first_return)[0]))
             bad = [(n, a, b) for n, a, b in per_n if a != b]
             detail = ""
             if skipped_n:
@@ -366,11 +335,10 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
         # sanity probes get a tighter sub-budget than the main oracle runs
         probe_budget = min(cfg.max_leaves, 1_000_000)
         for n in (1, 2, 4, 5):
-            leaves = (q * q) ** n
-            if leaves > probe_budget:
+            if building.oracle_leaves(q, n) > probe_budget:
                 skipped_n.append(n)
                 continue
-            got = building.oracle_counts(q, n, max_leaves=cfg.max_leaves)
+            got = walk(n, 3)[0]
             if got:
                 bad.append((n, got))
         if skipped_n and not bad:
@@ -417,10 +385,10 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
         skipped_n = []
         ran = []
         for n in (2, 4, 6):
-            if q**n > cfg.max_leaves:
+            if building.oracle_leaves(q, n, 2) > cfg.max_leaves:
                 skipped_n.append(n)
                 continue
-            g, f = building.oracle_g_f(q, n, dim=2, max_leaves=cfg.max_leaves)
+            g, f = walk(n, 2)
             wg, wf = analysis.pgl2_closed(q, n, "g"), analysis.pgl2_closed(q, n, "f")
             if (g, f) != (wg, wf):
                 bad.append((n, (g, f), (wg, wf)))

@@ -57,10 +57,6 @@ class QVertex(NamedTuple):
     m: int
     n: int
 
-    @property
-    def vtype(self) -> int:
-        return (self.m + self.n) % 3
-
     def is_valid(self) -> bool:
         return self.m >= self.n >= 0
 
@@ -160,15 +156,24 @@ class QuotientEdge(NamedTuple):
         return e
 
     def pretty(self) -> str:
-        def half(x2: int) -> str:
-            return str(x2 // 2) if x2 % 2 == 0 else f"{x2}/2"
-
         return f"e({half(self.k2)},{half(self.l2)})"
+
+
+def half(x2: int) -> str:
+    """A doubled name index as text: 4 -> "2", 3 -> "3/2"."""
+    return str(x2 // 2) if x2 % 2 == 0 else f"{x2}/2"
 
 
 def base_edge() -> QuotientEdge:
     """The edge out of the origin: (0,0) -> (1,0), name indices (1/2, 0)."""
     return QuotientEdge(QVertex(0, 0), QVertex(1, 0))
+
+
+#: The four edges that feed the base edge in three steps, in the order
+#: e(1/2,0), e(3/2,1/2), e(2,3/2), e(5/2,5/2) of ``three_step_coefficients``.
+THREE_STEP_FEEDERS = tuple(
+    QuotientEdge.from_doubled(k2, l2) for k2, l2 in ((1, 0), (3, 1), (4, 3), (5, 5))
+)
 
 
 @lru_cache(maxsize=None)
@@ -324,7 +329,7 @@ def dp_f(q: int, n: int) -> int:
 
 def three_step_coefficients(q: int) -> tuple[int, int, int, int]:
     """Total 3-step weights into the base edge from the four edges that
-    can feed it, in the order e(1/2,0), e(3/2,1/2), e(2,3/2), e(5/2,5/2).
+    can feed it, in ``THREE_STEP_FEEDERS`` order.
 
     Verifies against the expected polynomials
     (q^2(q^2-1)(q^2-q), q^4(q^2-q), q^4(q^2-q), q^6) and that no other
@@ -340,23 +345,17 @@ def three_step_coefficients(q: int) -> tuple[int, int, int, int]:
         w = prof.get(target, 0)
         if w:
             feeders[e] = w
-    order = [
-        QuotientEdge.from_doubled(1, 0),
-        QuotientEdge.from_doubled(3, 1),
-        QuotientEdge.from_doubled(4, 3),
-        QuotientEdge.from_doubled(5, 5),
-    ]
     expected = (
         q * q * (q * q - 1) * (q * q - q),
         q**4 * (q * q - q),
         q**4 * (q * q - q),
         q**6,
     )
-    if set(feeders) != set(order):
+    if set(feeders) != set(THREE_STEP_FEEDERS):
         raise InternalConsistencyError(
             f"3-step feeders of the base edge are {sorted(e.pretty() for e in feeders)}"
         )
-    got = tuple(feeders[e] for e in order)
+    got = tuple(feeders[e] for e in THREE_STEP_FEEDERS)
     if got != expected:
         raise InternalConsistencyError(
             f"3-step coefficients {got} differ from expected {expected}"

@@ -319,6 +319,35 @@ def test_oracle_budget_refusal():
     assert err.value.leaves == 4**9
 
 
+def test_oracle_leaves():
+    assert building.oracle_leaves(2, 9) == 4**9
+    assert building.oracle_leaves(3, 4, dim=2) == 3**4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: building.oracle_g_f(3, 3, field=f),
+        lambda f: building.oracle_g_f(3, 3, threads=2, field=f),
+        lambda f: building.oracle_counts(3, 3, dim=2, field=f),
+        lambda f: building.oracle_terminal_profile(3, 3, field=f),
+        lambda f: building.oracle_transition_census(3, 2, field=f),
+        lambda f: building.find_lift(3, 1, 0, 2, field=f),
+        lambda f: building.oracle_prefix_mismatches(3, 1, field=f),
+        lambda f: building.oracle_path_vertices(3, 1, field=f),
+    ],
+    ids=["g_f", "g_f-threads", "counts-dim2", "terminal", "census", "lift", "prefix", "path"],
+)
+def test_oracle_refuses_a_field_of_another_size(call):
+    # a q = 2 field walked under q = 3 once gave the q = 2 counts
+    with pytest.raises(ValueError, match="q=3"):
+        call(FiniteField(2))
+
+
+def test_oracle_accepts_its_own_field():
+    assert building.oracle_g_f(2, 3, field=FiniteField(2)) == (24, 24)
+
+
 def test_oracle_threads_merge():
     assert building.oracle_g_f(2, 4, threads=2) == building.oracle_g_f(2, 4)
 
