@@ -64,6 +64,16 @@ def _cases() -> dict[str, list[str]]:
             if source == "oracle":
                 argv.append("--from-oracle")
             cases[f"weights-q2-{source}-{fmt}"] = argv
+    # the general-field walk (q != 2), prime and prime-power tables
+    cases["count-q3-oracle-g-steps3-json"] = [
+        "count", "--method", "oracle", "--q", "3", "--steps", "3", "--kind", "g", "--format", "json",
+    ]
+    cases["count-q4-oracle-f-steps3-json"] = [
+        "count", "--method", "oracle", "--q", "4", "--steps", "3", "--kind", "f", "--format", "json",
+    ]
+    cases["weights-q3-oracle-csv"] = [
+        "weights", "--q", "3", "--m-max", "3", "--from-oracle", "--format", "csv",
+    ]
     return cases
 
 
