@@ -21,12 +21,17 @@ The walk's row format is private to ``_Walker``.  For q = 2 a
 representative is dim rows of dim ints, bit i of an entry being its
 coefficient of t^i: a move XORs shifted ints and a reduction step looks
 its null vector up in ``_gf2_null_table``.  Every other q keeps entries
-as coefficient lists driven by the field's tables; at q = 2 both give
-the same representatives.
+as coefficient lists driven by the field's tables, and a reduction step
+looks its leading-coefficient matrix up in the walker's memo of
+``_reduction_plan`` results, solving only a matrix it has not seen.
+Either way a step takes the null vector and pivot row a fresh
+``_left_null_vector`` solve would, so at q = 2 the packed and the table
+path give the same representatives, and the memo changes none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from collections import Counter
@@ -455,8 +460,9 @@ def _apply_move(rows, recipe, addt, mult):
 
 
 def _left_null_vector(lc, dim, mult, addt, negt, invt):
-    """A nonzero c with c . lc = 0, or None when lc is invertible."""
-    work = [[lc[i][j] for i in range(dim)] for j in range(dim)]  # transpose
+    """A nonzero c with c . lc = 0, or None when lc is invertible; lc is
+    the dim x dim matrix read row by row."""
+    work = [[lc[i * dim + j] for i in range(dim)] for j in range(dim)]  # transpose
     pivots: list[int] = []
     rank = 0
     for col in range(dim):
@@ -501,7 +507,17 @@ def _finish_reduction(degs, detdeg):
     return degs
 
 
-def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt):
+def _reduction_plan(key, dim, mult, addt, negt, invt):
+    """None when the flattened leading-coefficient matrix ``key`` is
+    invertible, else the support of the null vector ``_left_null_vector``
+    picks, each index paired with the ``mul_table`` row of its entry."""
+    c = _left_null_vector(key, dim, mult, addt, negt, invt)
+    if c is None:
+        return None
+    return tuple((i, mult[ci]) for i, ci in enumerate(c) if ci)
+
+
+def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt, plans=None):
     """Row-reduce in place over the polynomial ring; returns row degrees.
 
     ``detdeg`` is the t-degree of det(rows).  Each step lowers the
@@ -509,39 +525,42 @@ def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt):
     it equals deg det once the leading-coefficient matrix is invertible
     (then the sorted row degrees are the Birkhoff exponents); so at most
     sum(degs) - detdeg + 1 rounds are needed.
+
+    ``plans`` maps a flattened leading-coefficient matrix to its
+    ``_reduction_plan`` and is filled on first sight; without it every
+    round solves afresh.  Either way the steps, and so the rows, are
+    the same.
     """
-    degs = [max(len(e) - 1 for e in row) for row in rows]
+    degs = [max(map(len, row)) - 1 for row in rows]
     if min(degs) < 0:
         raise InternalConsistencyError("zero row in a vertex representative")
     for _ in range(sum(degs) - detdeg + 1):
-        lc = []
-        for i in range(dim):
-            d = degs[i]
-            row = rows[i]
-            lc.append([e[d] if len(e) - 1 == d else 0 for e in row])
-        c = _left_null_vector(lc, dim, mult, addt, negt, invt)
-        if c is None:
+        key = tuple([e[d] if len(e) > d else 0 for row, d in zip(rows, degs) for e in row])
+        if plans is None:
+            plan = _reduction_plan(key, dim, mult, addt, negt, invt)
+        else:
+            try:
+                plan = plans[key]
+            except KeyError:
+                plan = plans[key] = _reduction_plan(key, dim, mult, addt, negt, invt)
+        if plan is None:
             return _finish_reduction(degs, detdeg)
-        i_star = -1
-        for i in range(dim):
-            if c[i] and (i_star < 0 or degs[i] > degs[i_star]):
+        i_star = plan[0][0]
+        for i, _ in plan:
+            if degs[i] > degs[i_star]:
                 i_star = i
         d_star = degs[i_star]
+        terms = [(rows[i], d_star - degs[i], mrow) for i, mrow in plan]
         new_row = []
         for j in range(dim):
             acc: list[int] = []
-            for i in range(dim):
-                ci = c[i]
-                if not ci:
-                    continue
-                ent = rows[i][j]
+            for row, s, mrow in terms:
+                ent = row[j]
                 if not ent:
                     continue
-                s = d_star - degs[i]
                 need = s + len(ent)
                 if len(acc) < need:
                     acc.extend([0] * (need - len(acc)))
-                mrow = mult[ci]
                 for idx, x in enumerate(ent):
                     if x:
                         p = s + idx
@@ -552,7 +571,7 @@ def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt):
         if not any(new_row):
             raise InternalConsistencyError("row reduction produced a zero row")
         rows[i_star] = new_row
-        degs[i_star] = max(len(e) - 1 for e in new_row)
+        degs[i_star] = max(map(len, new_row)) - 1
     raise InternalConsistencyError(
         f"row reduction did not finish within its bound (deg det = {detdeg})"
     )
@@ -577,7 +596,7 @@ def _gf2_null_table(dim: int) -> tuple:
     top = dim * dim - 1
     table = []
     for idx in range(1 << (dim * dim)):
-        lc = [[(idx >> (top - i * dim - j)) & 1 for j in range(dim)] for i in range(dim)]
+        lc = [(idx >> (top - k)) & 1 for k in range(dim * dim)]
         c = _left_null_vector(lc, dim, f.mul_table, f.add_table, negt, f.inv_table)
         table.append(None if c is None else tuple(i for i in range(dim) if c[i]))
     return tuple(table)
@@ -662,6 +681,13 @@ class _Walker:
     depth since every move's does 1.  Only the walker reads rows: for
     q = 2 each entry is an int with bit i the coefficient of t^i, else
     a list of field elements, lowest degree first.
+
+    For q != 2, ``plans`` memoises ``_reduction_plan`` by flattened
+    leading-coefficient matrix, filled as the walk first meets each one.
+    It holds at most min(q^(dim^2), reduction rounds walked) entries; the
+    rounds are bounded by what bounds the walk (``max_leaves`` for the
+    counting walks, ``m_max`` or ``max_len`` for the census and prefix
+    sweeps), and the memo goes with the walker.
     """
 
     def __init__(self, field: FiniteField, dim: int):
@@ -680,6 +706,7 @@ class _Walker:
             self.mult = field.mul_table
             self.negt = [field.neg(a) for a in range(field.q)]
             self.invt = field.inv_table
+            self.plans: dict = {}
             self.recipes = recipes
 
     def start(self):
@@ -698,7 +725,9 @@ class _Walker:
             nd = _reduce_rows_gf2(nr, self.dim, depth, self.null_table)
         else:
             nr = _apply_move(rows, recipe, self.addt, self.mult)
-            nd = _reduce_rows(nr, self.dim, depth, self.mult, self.addt, self.negt, self.invt)
+            nd = _reduce_rows(
+                nr, self.dim, depth, self.mult, self.addt, self.negt, self.invt, self.plans
+            )
         return (nr, depth), nd
 
     def to_matrix(self, node) -> LaurentMatrix:
@@ -786,6 +815,35 @@ def _count_worker(args):
     return _count_run(field, dim, n, prefix)
 
 
+class OraclePool:
+    """A process pool that oracle walks share.
+
+    It starts at the first ``map``, that is at the first walk that
+    splits, with min(threads, tasks, cpu count) workers; ``tasks`` is
+    the most subtrees a walk splits into (q^2 in dim 3, q in dim 2).
+    Leaving the ``with`` block shuts it down.
+    """
+
+    def __init__(self, threads: int, tasks: int):
+        self.workers = min(threads, tasks, os.cpu_count() or 1)
+        self._stack = contextlib.ExitStack()
+        self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stack.close()
+        return False
+
+    def map(self, fn, tasks):
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = self._stack.enter_context(ProcessPoolExecutor(max_workers=self.workers))
+        return self._pool.map(fn, tasks)
+
+
 def oracle_g_f(
     q: int,
     n: int,
@@ -793,28 +851,24 @@ def oracle_g_f(
     max_leaves: int = DEFAULT_MAX_LEAVES,
     threads: int = 1,
     field: FiniteField | None = None,
+    *,
+    pool: OraclePool | None = None,
 ) -> tuple[int, int]:
     """Exhaustive (closed, first-return) cycle counts over the origin in
     one sweep.  Refuses runs whose leaf count q^(2n) (dim 3) or q^n
-    (dim 2) exceeds ``max_leaves``."""
+    (dim 2) exceeds ``max_leaves``.  With threads > 1 the subtrees below
+    the first move go to ``pool``, or to a pool of this walk's own."""
     if n < 1:
         raise ValueError("n must be >= 1")
     field = _field_for(q, field)
     leaves = oracle_leaves(q, n, dim)
     if leaves > max_leaves:
         raise BudgetExceededError(leaves, max_leaves)
-    n_moves = q * q if dim == 3 else q
     if threads > 1 and n >= 2:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(q, field.irreducible, dim, n, (j,)) for j in range(n_moves)]
-        g_total = f_total = 0
-        workers = min(threads, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for g, f in pool.map(_count_worker, tasks):
-                g_total += g
-                f_total += f
-        return g_total, f_total
+        tasks = [(q, field.irreducible, dim, n, (j,)) for j in range(oracle_leaves(q, 1, dim))]
+        with contextlib.nullcontext(pool) if pool else OraclePool(threads, len(tasks)) as p:
+            counts = list(p.map(_count_worker, tasks))
+        return sum(g for g, _ in counts), sum(f for _, f in counts)
     return _count_run(field, dim, n)
 
 

@@ -61,6 +61,14 @@ def _check(name: str, fn) -> CheckResult:
 
 
 def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
+    """Every check of the matrix, in report order.  Oracle walks that
+    split over ``cfg.threads`` share one process pool, started by the
+    first of them and shut down on return."""
+    with building.OraclePool(cfg.threads, cfg.q * cfg.q) as pool:
+        return _run_checks(cfg, pool)
+
+
+def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckResult]:
     q = cfg.q
     results: list[CheckResult] = []
     ns = list(range(1, cfg.closed_horizon + 1))
@@ -77,7 +85,7 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     )
     sweep = functools.cache(lambda taboo: list(shift.dp_sweep(q, horizon, taboo)))
     walk = functools.cache(
-        lambda n, dim: building.oracle_g_f(q, n, dim, cfg.max_leaves, cfg.threads)
+        lambda n, dim: building.oracle_g_f(q, n, dim, cfg.max_leaves, cfg.threads, pool=pool)
     )
 
     def counts(steps: list[int], taboo: bool = False) -> list[int]:

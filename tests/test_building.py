@@ -441,6 +441,60 @@ def test_packed_walk_matches_table_path(dim, max_depth):
     rec(node, degs, identity, 0)
 
 
+@pytest.mark.parametrize("q,dim,max_depth", [(3, 3, 4), (3, 2, 6), (4, 3, 3), (5, 3, 2)])
+def test_memo_walk_matches_unmemoised_reducer(q, dim, max_depth):
+    """The general-field walker, which reuses one reduction plan per
+    leading-coefficient matrix, has at every node of every word the rows
+    and degrees the reducer gives when it solves every round afresh."""
+    field = FiniteField(q)
+    wk = building._Walker(field, dim)
+    assert not wk.packed
+    tables = (field.mul_table, field.add_table, wk.negt, field.inv_table)
+
+    def rec(node, rows, depth):
+        assert node[0] == rows
+        if depth == max_depth:
+            return
+        for recipe in wk.recipes:
+            nn, nd = wk.child(node, recipe)
+            nr = building._apply_move(rows, recipe, field.add_table, field.mul_table)
+            assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
+            rec(nn, nr, depth + 1)
+
+    node, _ = wk.start()
+    rec(node, [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
+    assert any(plan is not None for plan in wk.plans.values())
+
+
+def test_memo_hits_keep_the_round_cap():
+    """A memoised plan that never lowers the degree sum is read exactly
+    sum(degs) - deg det + 1 times, then the reduction raises; a deg det
+    the reduced degrees do not add up to raises on a memo hit too."""
+    wk = building._Walker(F3, 3)
+    tables = (wk.mult, wk.addt, wk.negt, wk.invt)
+    reads = []
+
+    class CountingPlans(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1;
+    # the seeded plan for its singular leading coefficients keeps row 0
+    stuck = (0, 1, 0, 0, 1, 0, 0, 0, 1)
+    identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    wk.plans = CountingPlans({stuck: ((0, F3.mul_table[1]),), identity: None})
+    rows = [[[0, 1], [0, 0, 1], []], [[], [1], []], [[], [], [1]]]
+    with pytest.raises(InternalConsistencyError, match="did not finish"):
+        building._reduce_rows(rows, 3, 1, *tables, wk.plans)
+    assert reads == [stuck, stuck]
+    reads.clear()
+    rows = [[[1] if i == j else [] for j in range(3)] for i in range(3)]
+    with pytest.raises(InternalConsistencyError, match="do not sum"):
+        building._reduce_rows(rows, 3, -1, *tables, wk.plans)
+    assert reads == [identity]
+
+
 def test_reduction_stops_at_its_bound(monkeypatch):
     """A null vector that never lowers the degree sum is tried exactly
     sum(degs) - deg det + 1 times, then the reduction raises, on both
