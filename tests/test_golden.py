@@ -74,6 +74,16 @@ def _cases() -> dict[str, list[str]]:
     cases["weights-q3-oracle-csv"] = [
         "weights", "--q", "3", "--m-max", "3", "--from-oracle", "--format", "csv",
     ]
+    # the DP at large q and long horizons
+    cases["count-q9973-dp-N-steps30-csv"] = [
+        "count", "--method", "dp", "--kind", "N", "--q", "9973", "--steps", "30", "--format", "csv",
+    ]
+    cases["count-q4-dp-f-steps30-json"] = [
+        "count", "--method", "dp", "--kind", "f", "--q", "4", "--steps", "30", "--format", "json",
+    ]
+    cases["count-q3-dp-g-steps60"] = [
+        "count", "--method", "dp", "--kind", "g", "--q", "3", "--steps", "60",
+    ]
     return cases
 
 
