@@ -114,18 +114,19 @@ def _count_rows(args) -> list[tuple[int, int]]:
         if args.flow != "pgl3":
             raise CliError("method dp is defined for flow pgl3 only")
         profs = shift.dp_sweep(args.q, args.steps - args.steps % period, taboo=first_return)
-        base = shift.base_edge()
-        return [(n, p.get(base, 0)) for n, p in enumerate(profs) if n and n % period == 0]
+        return [(n, p.get(shift.BASE_KEY, 0)) for n, p in enumerate(profs) if n and n % period == 0]
     if args.method == "closed":
         if args.flow == "pgl2":
             return [(n, analysis.pgl2_closed(args.q, n, args.kind)) for n in ns]
         closed = analysis.closed_f if first_return else analysis.closed_g
         return [(n, closed(args.q, n)) for n in ns]
     dim = 3 if args.flow == "pgl3" else 2
-    return [
-        (n, building.oracle_counts(args.q, n, dim, first_return, args.max_leaves, args.threads))
-        for n in ns
-    ]
+    # one process pool for every length's walk, shut down before printing
+    with building.OraclePool(args.threads, building.oracle_leaves(args.q, 1, dim)) as pool:
+        walks = [
+            building.oracle_g_f(args.q, n, dim, args.max_leaves, args.threads, pool=pool) for n in ns
+        ]
+    return [(n, gf[first_return]) for n, gf in zip(ns, walks)]
 
 
 def _profile_rows(args) -> list[tuple[int, int, int]]:
@@ -142,10 +143,11 @@ def _profile_rows(args) -> list[tuple[int, int, int]]:
                 continue
             v = analysis.closed_N(args.q, m, e.k2, e.l2)
             if v:
-                prof[e] = v
+                prof[e.k2, e.l2] = v
     else:
-        prof = building.oracle_terminal_profile(args.q, n, max_leaves=args.max_leaves)
-    return [(e.k2, e.l2, c) for e, c in sorted(prof.items(), key=lambda x: (x[0].k2, x[0].l2))]
+        walked = building.oracle_terminal_profile(args.q, n, max_leaves=args.max_leaves)
+        prof = {(e.k2, e.l2): c for e, c in walked.items()}
+    return [(k2, l2, c) for (k2, l2), c in sorted(prof.items())]
 
 
 def cmd_count(args) -> int:

@@ -74,7 +74,7 @@ def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckR
     ns = list(range(1, cfg.closed_horizon + 1))
     grid = [3 * n for n in ns]
     oracle_ns = [n for n in range(3, cfg.steps + 1, 3)]
-    base = shift.base_edge()
+    base = shift.BASE_KEY
     # One DP sweep per kind (closed, first-return) to the longest n any
     # check reads (N_12 for three_step_recursion), and one oracle walk per
     # (n, dim), each made inside the first check that needs it.  A fault
@@ -147,16 +147,16 @@ def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckR
         bad = []
         for n in (1, 2, 3):
             prof = sweep(False)[3 * n]
-            for e, c in prof.items():
-                want = analysis.closed_N(q, n, e.k2, e.l2)
+            for (k2, l2), c in prof.items():
+                want = analysis.closed_N(q, n, k2, l2)
                 if want != c:
-                    bad.append((n, e.pretty(), c, want))
+                    bad.append((n, shift.QuotientEdge.from_doubled(k2, l2).pretty(), c, want))
             # closed form must vanish exactly off the support
             for e in shift.all_valid_edges(3 * n + 3):
                 if (e.k2 + e.l2) % 3 != 1:
                     continue
                 want = analysis.closed_N(q, n, e.k2, e.l2)
-                have = prof.get(e, 0)
+                have = prof.get((e.k2, e.l2), 0)
                 if want != have:
                     bad.append((n, e.pretty(), have, want))
         return CheckResult(
@@ -193,7 +193,9 @@ def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckR
         bad = []
         for n in (1, 2, 3):
             prev, nxt = profs[3 * n], profs[3 * n + 3]
-            predicted = sum(c * prev.get(e, 0) for c, e in zip(coeffs, shift.THREE_STEP_FEEDERS))
+            predicted = sum(
+                c * prev.get((e.k2, e.l2), 0) for c, e in zip(coeffs, shift.THREE_STEP_FEEDERS)
+            )
             got = nxt.get(base, 0)
             if predicted != got:
                 bad.append((n, predicted, got))
@@ -222,9 +224,9 @@ def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckR
         profs = sweep(False)[:10]
         bad = []
         for s, p in enumerate(profs):
-            for e in p:
-                if (e.k2 + e.l2) % 3 != (1 + 2 * s) % 3:
-                    bad.append((s, e.pretty()))
+            for k2, l2 in p:
+                if (k2 + l2) % 3 != (1 + 2 * s) % 3:
+                    bad.append((s, shift.QuotientEdge.from_doubled(k2, l2).pretty()))
         return CheckResult(
             "support_grading",
             not bad,

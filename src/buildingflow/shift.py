@@ -268,14 +268,95 @@ def sorted_table_items(table: WeightTable) -> Iterator[tuple[QuotientEdge, Quoti
 # Exact dynamic programming
 # ---------------------------------------------------------------------------
 
-CountProfile = dict[QuotientEdge, int]
+#: A DP profile: doubled edge name (k2, l2) -> number of lifted paths
+#: ending on that edge.  ``dp_profiles`` turns the keys into edges.
+CountProfile = dict[tuple[int, int], int]
+
+#: The base edge e(1/2, 0) as a profile key.
+BASE_KEY = (1, 0)
+
+#: The four local cases of a sector vertex, each with the vertex whose
+#: incoming edges represent it.
+_CASE_REPRESENTATIVES = {"origin": (0, 0), "axis": (1, 0), "diagonal": (1, 1), "interior": (2, 1)}
+
+
+def _case(m: int, n: int) -> str:
+    if n == 0:
+        return "axis" if m else "origin"
+    return "diagonal" if m == n else "interior"
+
+
+@lru_cache(maxsize=None)
+def stencils(q: int) -> dict[tuple[tuple[int, int], str], tuple[tuple[int, int, int], ...]]:
+    """The DP's successor rule at q, one stencil per (incoming
+    displacement, local case of the target vertex).
+
+    The local cases of a target (m, n) are the origin, the axis n = 0,
+    the diagonal m = n and the interior m > n > 0.  A stencil lists
+    (k2' - 2m, l2' - 2n, weight) for every successor e(k2'/2, l2'/2) of
+    an edge into (m, n).  Only 8 pairs occur: R cannot enter the origin
+    or the diagonal, and U cannot enter the origin or the axis.
+
+    Each stencil is ``edge_transitions`` on one representative edge, so
+    ``_INTERIOR_RULE``, ``fold`` and the sum-to-q^2 check stay the only
+    source of weights.  One representative per case is enough: a raw
+    successor target is (m, n) moved by R, U or D, and the case alone
+    decides whether it leaves the sector and through which wall (n < 0
+    only from the axis or the origin, n > m only from the diagonal or
+    the origin, never from the interior).  So within a case ``fold``
+    applies the same reflection, the same raw successors merge, and the
+    successors sit at the same offsets from (2m, 2n).  Which incoming
+    displacements name an edge is fixed by the case too.
+    """
+    out = {}
+    for case, (m, n) in _CASE_REPRESENTATIVES.items():
+        for din in DISPLACEMENTS:
+            e = QuotientEdge(QVertex(m - din[0], n - din[1]), QVertex(m, n))
+            if e.is_valid():
+                out[din, case] = tuple(
+                    (s.k2 - 2 * m, s.l2 - 2 * n, w) for s, w in edge_transitions(e, q).items()
+                )
+    return out
+
+
+def _successors(k2: int, l2: int, q: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Successor keys of the edge named (k2, l2), with their weights.
+
+    The parities of k2 and l2 give the incoming displacement (see
+    ``QuotientEdge.from_doubled``), and with it the target (m, n).
+    """
+    ko, lo = k2 % 2, l2 % 2
+    din = (ko, lo) if ko != lo else (-ko, -lo)
+    m, n = (k2 + din[0]) // 2, (l2 + din[1]) // 2
+    stencil = stencils(q).get((din, _case(m, n))) if m >= n >= 0 else None
+    if stencil is None:
+        raise ValueError(f"(k2, l2) = ({k2}, {l2}) names no edge")
+    return tuple(((2 * m + dk, 2 * n + dl), w) for dk, dl, w in stencil)
+
+
+class _SuccessorTable(dict):
+    """(k2, l2) -> ``_successors`` at one q, worked out on first sight."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, key: tuple[int, int]):
+        succs = self[key] = _successors(*key, self.q)
+        return succs
+
+
+_successor_table = lru_cache(maxsize=None)(_SuccessorTable)
 
 
 def dp_step(profile: CountProfile, q: int) -> CountProfile:
+    """One DP step: each edge's count moves along its stencil."""
+    table = _successor_table(q)
     out: CountProfile = {}
-    for e, c in profile.items():
-        for s, w in edge_transitions(e, q).items():
-            out[s] = out.get(s, 0) + c * w
+    get = out.get
+    for key, c in profile.items():
+        for s, w in table[key]:
+            out[s] = get(s, 0) + c * w
     return out
 
 
@@ -288,20 +369,20 @@ def dp_sweep(q: int, steps: int, taboo: bool = False) -> Iterator[CountProfile]:
     the profile after it has been yielded, from step 1 on; the yielded
     dicts themselves are never changed afterwards.
     """
-    base = base_edge()
-    prof: CountProfile = {base: 1}
+    prof: CountProfile = {BASE_KEY: 1}
     yield prof
     for _ in range(steps):
         prof = dp_step(prof, q)
         yield prof
-        if taboo and base in prof:
+        if taboo and BASE_KEY in prof:
             prof = dict(prof)
-            del prof[base]
+            del prof[BASE_KEY]
 
 
-def dp_profiles(q: int, steps: int) -> list[CountProfile]:
-    """Endpoint distributions N_0 .. N_steps (see ``dp_sweep``)."""
-    return list(dp_sweep(q, steps))
+def dp_profiles(q: int, steps: int) -> list[dict[QuotientEdge, int]]:
+    """Endpoint distributions N_0 .. N_steps (see ``dp_sweep``), keyed
+    by edge."""
+    return [{QuotientEdge.from_doubled(*k): c for k, c in p.items()} for p in dp_sweep(q, steps)]
 
 
 def profile_mass(profile: CountProfile) -> int:
@@ -316,7 +397,7 @@ def dp_g(q: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return deque(dp_sweep(q, n), maxlen=1).pop().get(base_edge(), 0)
+    return deque(dp_sweep(q, n), maxlen=1).pop().get(BASE_KEY, 0)
 
 
 def dp_f(q: int, n: int) -> int:
@@ -324,7 +405,7 @@ def dp_f(q: int, n: int) -> int:
     mass sitting on the base edge is removed at every intermediate step."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return deque(dp_sweep(q, n, taboo=True), maxlen=1).pop().get(base_edge(), 0)
+    return deque(dp_sweep(q, n, taboo=True), maxlen=1).pop().get(BASE_KEY, 0)
 
 
 def three_step_coefficients(q: int) -> tuple[int, int, int, int]:
@@ -335,14 +416,13 @@ def three_step_coefficients(q: int) -> tuple[int, int, int, int]:
     (q^2(q^2-1)(q^2-q), q^4(q^2-q), q^4(q^2-q), q^6) and that no other
     edge reaches the base edge in three steps.
     """
-    target = base_edge()
     feeders: dict[QuotientEdge, int] = {}
     # m drops by at most one per step, so 3-step feeders have m <= 4.
     for e in all_valid_edges(5):
-        prof: CountProfile = {e: 1}
+        prof: CountProfile = {(e.k2, e.l2): 1}
         for _ in range(3):
             prof = dp_step(prof, q)
-        w = prof.get(target, 0)
+        w = prof.get(BASE_KEY, 0)
         if w:
             feeders[e] = w
     expected = (

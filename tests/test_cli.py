@@ -181,3 +181,36 @@ def test_validate_capacity_limit_is_skip(capsys):
         assert lines[name].startswith("SKIP")
         assert "capacity limit: tables unavailable for q=67" in lines[name]
     assert "FAIL" not in out
+
+
+def test_count_oracle_starts_one_pool(monkeypatch, capsys):
+    """Every length's walk shares one pool, which is shut down before
+    the table prints; the bytes are those of a single-process run."""
+    import concurrent.futures
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.closed = False
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.closed = True
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    argv = ("count", "--method", "oracle", "--q", "2", "--steps", "9")
+    code, single, _ = run(capsys, *argv, "--threads", "1")
+    assert code == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    code, split, _ = run(capsys, *argv, "--threads", "2")
+    assert code == 0
+    assert len(pools) == 1
+    assert pools[0].closed
+    assert split == single

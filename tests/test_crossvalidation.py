@@ -123,7 +123,7 @@ def test_period_zero_checks_run_the_dp(monkeypatch):
 
     def leaky_step(profile, q):
         out = real_step(profile, q)
-        out[shift.base_edge()] = out.get(shift.base_edge(), 0) + 1
+        out[shift.BASE_KEY] = out.get(shift.BASE_KEY, 0) + 1
         return out
 
     monkeypatch.setattr(shift, "dp_step", leaky_step)

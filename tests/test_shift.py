@@ -3,6 +3,7 @@
 import pytest
 
 from buildingflow import shift
+from buildingflow.errors import InternalConsistencyError
 from buildingflow.shift import QVertex, QuotientEdge
 
 
@@ -191,3 +192,109 @@ def test_graph_records_wire_format():
     first = recs[0]
     assert first["from"] == {"k2": 1, "l2": 0}
     assert isinstance(first["weight"], str)
+
+
+# ---------------------------------------------------------------------------
+# The DP on (k2, l2) keys: one stencil per (incoming displacement, local case)
+# ---------------------------------------------------------------------------
+
+
+def _stencil_of(k2, l2):
+    """(incoming displacement, local case) of the edge named (k2, l2),
+    worked out from the edge itself."""
+    e = QuotientEdge.from_doubled(k2, l2)
+    m, n = e.target
+    case = "origin" if m == 0 else "axis" if n == 0 else "diagonal" if m == n else "interior"
+    return e.displacement, case
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9973])
+def test_stencil_successors_equal_edge_transitions(q):
+    for e in shift.all_valid_edges(40):
+        want = sorted((s.k2, s.l2, w) for s, w in shift.edge_transitions(e, q).items())
+        got = sorted((k2, l2, w) for (k2, l2), w in shift._successors(e.k2, e.l2, q))
+        assert got == want, e
+
+
+def test_successors_refuse_what_names_no_edge():
+    for k2 in range(-3, 12):
+        for l2 in range(-3, 12):
+            try:
+                QuotientEdge.from_doubled(k2, l2)
+            except ValueError:
+                with pytest.raises(ValueError, match="names no edge"):
+                    shift._successors(k2, l2, 2)
+
+
+def test_sweep_to_six_hits_every_stencil():
+    stepped = {_stencil_of(*key) for p in list(shift.dp_sweep(2, 6))[:-1] for key in p}
+    assert len(shift.stencils(2)) == 8
+    assert stepped == set(shift.stencils(2))
+
+
+@pytest.fixture
+def fresh_rule_caches():
+    """Empty the caches that hold weights derived from the rule, before
+    and after, so that a patched rule is read and then forgotten."""
+
+    def clear():
+        shift.edge_transitions.cache_clear()
+        shift.stencils.cache_clear()
+        shift._successor_table.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_stencils_are_derived_from_the_rule(monkeypatch, fresh_rule_caches):
+    q, R, U, D = 3, shift.R, shift.U, shift.D
+    rule = shift._INTERIOR_RULE
+
+    def interior(din):
+        return {(dk, dl): w for dk, dl, w in shift.stencils(q)[din, "interior"]}
+
+    # in the interior nothing folds: each outgoing displacement is one offset
+    for din in shift.DISPLACEMENTS:
+        want = {dout: shift._weight(rule[din, dout], q) for dout in shift.DISPLACEMENTS}
+        assert interior(din) == {d: w for d, w in want.items() if w}
+    before = interior(R)
+    assert shift.dp_step({(3, 2): 1}, q) == {(5, 2): 1, (4, 3): q - 1, (3, 1): q * q - q}
+
+    # one entry changed: the derived weights no longer sum to q^2
+    monkeypatch.setitem(rule, (R, U), (0, 1, 0))
+    shift.edge_transitions.cache_clear()
+    shift.stencils.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="sum to"):
+        shift.stencils(q)
+
+    # two entries exchanged: the sum holds and the stencil and step follow
+    monkeypatch.setitem(rule, (R, U), (1, -1, 0))
+    monkeypatch.setitem(rule, (R, D), (0, 1, -1))
+    shift.edge_transitions.cache_clear()
+    shift.stencils.cache_clear()
+    shift._successor_table.cache_clear()
+    assert interior(R) == {**before, U: q * q - q, D: q - 1} != before
+    assert shift.dp_step({(3, 2): 1}, q) == {(5, 2): 1, (4, 3): q * q - q, (3, 1): q - 1}
+
+
+def _reference_sweep(q, steps, taboo):
+    """N_0 .. N_steps by ``edge_transitions`` on QuotientEdge keys."""
+    base = shift.base_edge()
+    prof = {base: 1}
+    out = [prof]
+    for _ in range(steps):
+        nxt = {}
+        for e, c in prof.items():
+            for s, w in shift.edge_transitions(e, q).items():
+                nxt[s] = nxt.get(s, 0) + c * w
+        out.append(nxt)
+        prof = {e: c for e, c in nxt.items() if not (taboo and e == base)}
+    return out
+
+
+@pytest.mark.parametrize("taboo", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 9973])
+def test_sweep_equals_reference_sweep(q, taboo):
+    ref = [{(e.k2, e.l2): c for e, c in p.items()} for p in _reference_sweep(q, 30, taboo)]
+    assert list(shift.dp_sweep(q, 30, taboo)) == ref
