@@ -143,7 +143,8 @@ def spr_report(q: int, verify_ratios: bool = True) -> SprReport:
     if q < 2:
         raise ValueError("q must be >= 2")
     if verify_ratios:
-        gs = [p.get(shift.BASE_KEY, 0) for s, p in enumerate(shift.dp_sweep(q, 9)) if s in (3, 6, 9)]
+        profs = enumerate(shift.dp_sweep(q, 9))
+        gs = [p.get(shift.BASE_KEY, 0) for s, p in profs if s in (3, 6, 9)]
         for a, b in zip(gs, gs[1:]):
             if b != a * q**6:
                 raise InternalConsistencyError(

@@ -124,7 +124,8 @@ def _count_rows(args) -> list[tuple[int, int]]:
     # one process pool for every length's walk, shut down before printing
     with building.OraclePool(args.threads, building.oracle_leaves(args.q, 1, dim)) as pool:
         walks = [
-            building.oracle_g_f(args.q, n, dim, args.max_leaves, args.threads, pool=pool) for n in ns
+            building.oracle_g_f(args.q, n, dim, args.max_leaves, args.threads, pool=pool)
+            for n in ns
         ]
     return [(n, gf[first_return]) for n, gf in zip(ns, walks)]
 

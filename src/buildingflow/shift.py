@@ -280,12 +280,6 @@ BASE_KEY = (1, 0)
 _CASE_REPRESENTATIVES = {"origin": (0, 0), "axis": (1, 0), "diagonal": (1, 1), "interior": (2, 1)}
 
 
-def _case(m: int, n: int) -> str:
-    if n == 0:
-        return "axis" if m else "origin"
-    return "diagonal" if m == n else "interior"
-
-
 @lru_cache(maxsize=None)
 def stencils(q: int) -> dict[tuple[tuple[int, int], str], tuple[tuple[int, int, int], ...]]:
     """The DP's successor rule at q, one stencil per (incoming
@@ -319,30 +313,26 @@ def stencils(q: int) -> dict[tuple[tuple[int, int], str], tuple[tuple[int, int, 
     return out
 
 
-def _successors(k2: int, l2: int, q: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Successor keys of the edge named (k2, l2), with their weights.
-
-    The parities of k2 and l2 give the incoming displacement (see
-    ``QuotientEdge.from_doubled``), and with it the target (m, n).
-    """
-    ko, lo = k2 % 2, l2 % 2
-    din = (ko, lo) if ko != lo else (-ko, -lo)
-    m, n = (k2 + din[0]) // 2, (l2 + din[1]) // 2
-    stencil = stencils(q).get((din, _case(m, n))) if m >= n >= 0 else None
-    if stencil is None:
-        raise ValueError(f"(k2, l2) = ({k2}, {l2}) names no edge")
-    return tuple(((2 * m + dk, 2 * n + dl), w) for dk, dl, w in stencil)
-
-
 class _SuccessorTable(dict):
-    """(k2, l2) -> ``_successors`` at one q, worked out on first sight."""
+    """(k2, l2) -> successor keys with their weights at one q, each
+    worked out on first sight.  The parities of k2 and l2 give the
+    incoming displacement (see ``QuotientEdge.from_doubled``), and with
+    it the target (m, n) and its local case."""
 
     def __init__(self, q: int):
         super().__init__()
-        self.q = q
+        self.stencils = stencils(q)
 
     def __missing__(self, key: tuple[int, int]):
-        succs = self[key] = _successors(*key, self.q)
+        k2, l2 = key
+        ko, lo = k2 % 2, l2 % 2
+        din = (ko, lo) if ko != lo else (-ko, -lo)
+        m, n = (k2 + din[0]) // 2, (l2 + din[1]) // 2
+        case = ("axis" if m else "origin") if n == 0 else "diagonal" if m == n else "interior"
+        stencil = self.stencils.get((din, case)) if m >= n >= 0 else None
+        if stencil is None:
+            raise ValueError(f"(k2, l2) = ({k2}, {l2}) names no edge")
+        succs = self[key] = tuple(((2 * m + dk, 2 * n + dl), w) for dk, dl, w in stencil)
         return succs
 
 

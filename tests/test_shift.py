@@ -212,7 +212,7 @@ def _stencil_of(k2, l2):
 def test_stencil_successors_equal_edge_transitions(q):
     for e in shift.all_valid_edges(40):
         want = sorted((s.k2, s.l2, w) for s, w in shift.edge_transitions(e, q).items())
-        got = sorted((k2, l2, w) for (k2, l2), w in shift._successors(e.k2, e.l2, q))
+        got = sorted((k2, l2, w) for (k2, l2), w in shift._successor_table(q)[e.k2, e.l2])
         assert got == want, e
 
 
@@ -223,7 +223,7 @@ def test_successors_refuse_what_names_no_edge():
                 QuotientEdge.from_doubled(k2, l2)
             except ValueError:
                 with pytest.raises(ValueError, match="names no edge"):
-                    shift._successors(k2, l2, 2)
+                    shift._successor_table(2)[k2, l2]
 
 
 def test_sweep_to_six_hits_every_stencil():
