@@ -74,6 +74,16 @@ def _cases() -> dict[str, list[str]]:
     cases["weights-q3-oracle-csv"] = [
         "weights", "--q", "3", "--m-max", "3", "--from-oracle", "--format", "csv",
     ]
+    cases["count-q3-oracle-N-steps3-csv"] = [
+        "count", "--method", "oracle", "--q", "3", "--steps", "3", "--kind", "N", "--format", "csv",
+    ]
+    cases["validate-q3-m3-json"] = [
+        "validate", "--q", "3", "--steps", "3", "--m-max", "3", "--format", "json",
+    ]
+    cases["count-pgl2-q3-oracle-g-steps6-csv"] = [
+        "count", "--q", "3", "--steps", "6", "--flow", "pgl2", "--method", "oracle",
+        "--kind", "g", "--format", "csv",
+    ]
     # the DP at large q and long horizons
     cases["count-q9973-dp-N-steps30-csv"] = [
         "count", "--method", "dp", "--kind", "N", "--q", "9973", "--steps", "30", "--format", "csv",
