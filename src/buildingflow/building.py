@@ -20,13 +20,20 @@ test suite holds the two against each other.
 The walk's row format is private to ``_Walker``.  For q = 2 a
 representative is dim rows of dim ints, bit i of an entry being its
 coefficient of t^i: a move XORs shifted ints and a reduction step looks
-its null vector up in ``_gf2_null_table``.  Every other q keeps entries
-as coefficient lists driven by the field's tables, and a reduction step
+its null vector up in ``_gf2_null_table``.  For q = 3 each row is
+bit-sliced (Boothby & Bradshaw, arXiv:0901.1413) into a pair of ints
+(p, m): entry j owns the slot of bits [j * width, (j + 1) * width), and
+bit j * width + e of p (of m) is set when the entry's coefficient of t^e
+is 1 (is 2).  A move is a few masked shifts and GF(3) additions of whole
+rows, multiplying by 2 swaps the planes, and a slot is sized from the
+walk's depth bound, so a node that would not fit is refused, never
+spilled into the next slot.  Every other q keeps entries as coefficient
+lists driven by the field's tables.  At q = 3 and above a reduction step
 looks its leading-coefficient matrix up in the walker's memo of
-``_reduction_plan`` results, solving only a matrix it has not seen.
-Either way a step takes the null vector and pivot row a fresh
-``_left_null_vector`` solve would, so at q = 2 the packed and the table
-path give the same representatives, and the memo changes none.
+reduction plans, solving only a matrix it has not seen.  Every path
+takes the null vector and pivot row a fresh ``_left_null_vector`` solve
+would, so the packed, the sliced and the table path give the same
+representatives, and the memo changes none.
 """
 
 from __future__ import annotations
@@ -666,6 +673,143 @@ def _reduce_rows_gf2(rows, dim, detdeg, null_table):
     )
 
 
+# ---------------------------------------------------------------------------
+# q = 3: GF(3)[t] rows bit-sliced into two ints (Boothby & Bradshaw)
+# ---------------------------------------------------------------------------
+
+
+def _gf3_layers(recipe, width):
+    """A move's recipe compiled for sliced rows.
+
+    Term (k, c, s) of output column j moves slot k by (j - k) * width + s
+    bits, and multiplying by c = 2 swaps the planes.  The r-th terms of
+    the columns form layer r; their target slots are disjoint, so a layer
+    is an OR of masked shifts, one (mask, shift, swap) per distinct shift
+    and swap.  The layers are then added in GF(3).
+    """
+    slot = (1 << width) - 1
+    layers: list[dict] = []
+    for j, terms in enumerate(recipe):
+        for r, (k, c, s) in enumerate(terms):
+            if r == len(layers):
+                layers.append({})
+            key = ((j - k) * width + s, c == 2)
+            layers[r][key] = layers[r].get(key, 0) | slot << (k * width)
+    return tuple(tuple((mask, sh, swap) for (sh, swap), mask in ly.items()) for ly in layers)
+
+
+def _apply_move_gf3(rows, layers):
+    """rows @ u on sliced rows, u compiled by ``_gf3_layers``.  A sum
+    z = x + y in GF(3) is t = (xp | ym) ^ (xm | yp), zp = (xm | ym) ^ t,
+    zm = (xp | yp) ^ t, bit for bit."""
+    out = []
+    for p, m in rows:
+        zp = None
+        for terms in layers:
+            a = b = 0
+            for mask, sh, swap in terms:
+                x, y = (m & mask, p & mask) if swap else (p & mask, m & mask)
+                if sh >= 0:
+                    a |= x << sh
+                    b |= y << sh
+                else:
+                    a |= x >> -sh
+                    b |= y >> -sh
+            if zp is None:
+                zp, zm = a, b
+            else:
+                t = (zp | b) ^ (zm | a)
+                zp, zm = (zm | b) ^ t, (zp | a) ^ t
+        out.append((zp, zm))
+    return out
+
+
+class _GF3Format:
+    """Slot geometry of sliced rows: entry j of a row holds bits
+    [j * width, (j + 1) * width) of both planes."""
+
+    def __init__(self, field: FiniteField, dim: int, width: int):
+        self.dim = dim
+        self.width = width
+        self.slot = (1 << width) - 1
+        self.folds = tuple(range(width, dim * width, width))  # slots 1 .. dim - 1
+        self.sel = sum(1 << (j * width) for j in range(dim))  # bit 0 of every slot
+        self.row_bits = rb = dim * width
+        self.row_masks = [((1 << rb) - 1) << (i * rb) for i in range(dim)]
+        self.tables = (field.mul_table, field.add_table, [field.neg(a) for a in range(3)], field.inv_table)
+
+    def plan(self, key: int):
+        """``_reduction_plan`` of a packed leading-coefficient pattern: the
+        null vector's support as (row, swap) pairs, swap when the entry
+        is 2, or None when the pattern is invertible."""
+        dim, w = self.dim, self.width
+        lc = [key >> (i * self.row_bits + j * w) & 3 for i in range(dim) for j in range(dim)]
+        c = _left_null_vector(lc, dim, *self.tables)
+        if c is None:
+            return None
+        return tuple((i, ci == 2) for i, ci in enumerate(c) if ci)
+
+
+def _reduce_rows_gf3(rows, detdeg, fmt: _GF3Format, plans: dict):
+    """``_reduce_rows`` over GF(3)[t] on sliced rows, step for step.
+
+    Row i of degree d contributes (p >> d & sel) | (m >> d & sel) << 1
+    at bit i * row_bits of the key: two bits per entry, the entry's
+    coefficient of t^d.  ``plans`` maps a key to ``fmt.plan`` of it, and
+    only the replaced row's bits change in a step.
+    """
+    folds, slot, sel, rb = fmt.folds, fmt.slot, fmt.sel, fmt.row_bits
+    degs = []
+    key = 0
+    for i, (p, m) in enumerate(rows):
+        f = x = p | m
+        for s in folds:
+            f |= x >> s
+        d = (f & slot).bit_length() - 1
+        if d < 0:
+            raise InternalConsistencyError("zero row in a vertex representative")
+        degs.append(d)
+        key |= ((p >> d & sel) | (m >> d & sel) << 1) << (i * rb)
+    for _ in range(sum(degs) - detdeg + 1):
+        try:
+            plan = plans[key]
+        except KeyError:
+            plan = plans[key] = fmt.plan(key)
+        if plan is None:
+            return _finish_reduction(degs, detdeg)
+        i_star = plan[0][0]
+        for i, _ in plan:
+            if degs[i] > degs[i_star]:
+                i_star = i
+        d_star = degs[i_star]
+        zp = None
+        for i, swap in plan:
+            x, y = rows[i]
+            if swap:
+                x, y = y, x
+            s = d_star - degs[i]
+            if s:
+                x <<= s
+                y <<= s
+            if zp is None:
+                zp, zm = x, y
+            else:
+                t = (zp | y) ^ (zm | x)
+                zp, zm = (zm | y) ^ t, (zp | x) ^ t
+        f = x = zp | zm
+        for s in folds:
+            f |= x >> s
+        d = (f & slot).bit_length() - 1
+        if d < 0:
+            raise InternalConsistencyError("row reduction produced a zero row")
+        rows[i_star] = (zp, zm)
+        degs[i_star] = d
+        key = key & ~fmt.row_masks[i_star] | ((zp >> d & sel) | (zm >> d & sel) << 1) << (i_star * rb)
+    raise InternalConsistencyError(
+        f"row reduction did not finish within its bound (deg det = {detdeg})"
+    )
+
+
 def _pair_from_degs(degs, dim):
     s = sorted(degs, reverse=True)
     if dim == 3:
@@ -678,22 +822,35 @@ class _Walker:
 
     A node is (rows, depth): a row-reduced representative of the vertex
     reached by a word of that length, whose determinant has t-degree
-    depth since every move's does 1.  Only the walker reads rows: for
-    q = 2 each entry is an int with bit i the coefficient of t^i, else
-    a list of field elements, lowest degree first.
+    depth since every move's does 1.  Only the walker reads rows:
 
-    For q != 2, ``plans`` memoises ``_reduction_plan`` by flattened
-    leading-coefficient matrix, filled as the walk first meets each one.
-    It holds at most min(q^(dim^2), reduction rounds walked) entries; the
-    rounds are bounded by what bounds the walk (``max_leaves`` for the
-    counting walks, ``m_max`` or ``max_len`` for the census and prefix
-    sweeps), and the memo goes with the walker.
+    - q = 2: each entry is an int, bit i its coefficient of t^i;
+    - q = 3: each row is a pair of ints (p, m), bit j * width + e of p
+      (of m) set when entry j has coefficient 1 (2) at t^e;
+    - else: each entry is a list of field elements, lowest degree first.
+
+    ``bound`` is the depth of the deepest node the walk makes.  The
+    entries of a node at depth D are polynomials of degree <= D (its row
+    degrees are >= 0 and sum to D, and a move or a reduction step never
+    lifts an entry above the node's depth), so at q = 3 slots of
+    width = bound + 1 bits hold every node, and a child past ``bound`` is
+    refused with ``InternalConsistencyError`` rather than spilled into
+    the next slot.
+
+    For q != 2, ``plans`` memoises the reduction plan by leading-
+    coefficient matrix (flattened, or packed at q = 3), filled as the
+    walk first meets each one.  It holds at most min(q^(dim^2), reduction
+    rounds walked) entries; the rounds are bounded by what bounds the
+    walk (``max_leaves`` for the counting walks, ``m_max`` or ``max_len``
+    for the census and prefix sweeps), and the memo goes with the walker.
     """
 
-    def __init__(self, field: FiniteField, dim: int):
+    def __init__(self, field: FiniteField, dim: int, bound: int):
         self.field = field
         self.dim = dim
+        self.bound = bound
         self.packed = field.q == 2
+        self.sliced = field.q == 3
         recipes = _move_col_recipes(field, dim)
         if self.packed:
             self.null_table = _gf2_null_table(dim)
@@ -701,18 +858,24 @@ class _Walker:
                 tuple(tuple((k, s) for k, _, s in terms) for terms in recipe)
                 for recipe in recipes
             ]
+            return
+        self.plans: dict = {}
+        if self.sliced:
+            self.fmt = _GF3Format(field, dim, bound + 1)
+            self.recipes = [_gf3_layers(recipe, self.fmt.width) for recipe in recipes]
         else:
             self.addt = field.add_table
             self.mult = field.mul_table
             self.negt = [field.neg(a) for a in range(field.q)]
             self.invt = field.inv_table
-            self.plans: dict = {}
             self.recipes = recipes
 
     def start(self):
         dim = self.dim
         if self.packed:
             rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        elif self.sliced:
+            rows = [(1 << (i * self.fmt.width), 0) for i in range(dim)]
         else:
             rows = [[[1] if i == j else [] for j in range(dim)] for i in range(dim)]
         return (rows, 0), [0] * dim
@@ -723,6 +886,13 @@ class _Walker:
         if self.packed:
             nr = _apply_move_gf2(rows, recipe)
             nd = _reduce_rows_gf2(nr, self.dim, depth, self.null_table)
+        elif self.sliced:
+            if depth > self.bound:
+                raise InternalConsistencyError(
+                    f"depth {depth} overflows the {self.fmt.width}-bit slots sized for depth {self.bound}"
+                )
+            nr = _apply_move_gf3(rows, recipe)
+            nd = _reduce_rows_gf3(nr, depth, self.fmt, self.plans)
         else:
             nr = _apply_move(rows, recipe, self.addt, self.mult)
             nd = _reduce_rows(
@@ -735,6 +905,12 @@ class _Walker:
         rows, _ = node
         if self.packed:
             rows = [[[(x >> e) & 1 for e in range(x.bit_length())] for x in row] for row in rows]
+        elif self.sliced:
+            w = self.fmt.width
+            rows = [
+                [[(p >> b & 1) | (m >> b & 1) << 1 for b in range(s, s + w)] for s in range(0, self.dim * w, w)]
+                for p, m in rows
+            ]
         return LaurentMatrix(
             self.field,
             [[{e: c for e, c in enumerate(ent) if c} for ent in row] for row in rows],
@@ -758,7 +934,7 @@ def _count_run(field: FiniteField, dim: int, n: int, prefix=()) -> tuple[int, in
     length n extending ``prefix``: closed counts words whose terminal
     source invariant is the origin, first-return additionally forbids
     interior visits."""
-    wk = _Walker(field, dim)
+    wk = _Walker(field, dim, n)
     recipes = wk.recipes
     node, degs = wk.start()
     interior = False
@@ -897,7 +1073,7 @@ def oracle_terminal_profile(
     leaves = oracle_leaves(q, n)
     if leaves > max_leaves:
         raise BudgetExceededError(leaves, max_leaves)
-    wk = _Walker(field, 3)
+    wk = _Walker(field, 3, n + 1)  # classify steps once past the leaves
     out: Counter = Counter()
 
     def rec(node, degs, depth):
@@ -926,7 +1102,10 @@ def oracle_transition_census(
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     field = _field_for(q, field)
-    wk = _Walker(field, 3)
+    # Each breadth-first level expands at least one new edge with m <= m_max,
+    # so the lifts lie at depth < that many edges, their classified
+    # children at most one deeper.
+    wk = _Walker(field, 3, len(shift_mod.all_valid_edges(m_max)) + 1)
     node, degs = wk.start()
     start = wk.classify(node, degs)
     lifts = {start: node}
@@ -978,7 +1157,7 @@ def oracle_prefix_mismatches(
     mismatch descriptions (empty means the property holds).
     """
     field = _field_for(q, field)
-    wk = _Walker(field, 3)
+    wk = _Walker(field, 3, max_len + 2)  # words of max_len, their children classified
     reference: dict = {}
     mismatches: list[str] = []
 

@@ -407,18 +407,19 @@ def test_find_lift():
 def test_census_lifts_decode_to_their_edges():
     """Every lift the census hands out, decoded to a matrix, lies over
     its key by the independent section-dimension route."""
-    census, lifts = building.oracle_transition_census(2, 4, with_lifts=True)
-    assert set(census) <= set(lifts)
-    a = building.std_step(F2)
-    for qe, mat in lifts.items():
-        assert quotient_edge_of(BDirectedEdge(VertexClass(mat), VertexClass(mat @ a))) == qe
+    for field in (F2, F3):
+        census, lifts = building.oracle_transition_census(field.q, 4, with_lifts=True)
+        assert set(census) <= set(lifts)
+        a = building.std_step(field)
+        for qe, mat in lifts.items():
+            assert quotient_edge_of(BDirectedEdge(VertexClass(mat), VertexClass(mat @ a))) == qe
 
 
 @pytest.mark.parametrize("dim,max_depth", [(3, 5), (2, 8)])
 def test_packed_walk_matches_table_path(dim, max_depth):
     """The q = 2 walker's packed rows, decoded, equal the rows the
     general table path gives at every node of every word."""
-    wk = building._Walker(F2, dim)
+    wk = building._Walker(F2, dim, max_depth)
     assert wk.packed
     table_recipes = building._move_col_recipes(F2, dim)
     tables = (F2.mul_table, F2.add_table, [F2.neg(a) for a in range(2)], F2.inv_table)
@@ -441,14 +442,14 @@ def test_packed_walk_matches_table_path(dim, max_depth):
     rec(node, degs, identity, 0)
 
 
-@pytest.mark.parametrize("q,dim,max_depth", [(3, 3, 4), (3, 2, 6), (4, 3, 3), (5, 3, 2)])
+@pytest.mark.parametrize("q,dim,max_depth", [(5, 3, 3), (4, 2, 6), (4, 3, 3), (5, 3, 2)])
 def test_memo_walk_matches_unmemoised_reducer(q, dim, max_depth):
     """The general-field walker, which reuses one reduction plan per
     leading-coefficient matrix, has at every node of every word the rows
     and degrees the reducer gives when it solves every round afresh."""
     field = FiniteField(q)
-    wk = building._Walker(field, dim)
-    assert not wk.packed
+    wk = building._Walker(field, dim, max_depth)
+    assert not wk.packed and not wk.sliced
     tables = (field.mul_table, field.add_table, wk.negt, field.inv_table)
 
     def rec(node, rows, depth):
@@ -470,7 +471,8 @@ def test_memo_hits_keep_the_round_cap():
     """A memoised plan that never lowers the degree sum is read exactly
     sum(degs) - deg det + 1 times, then the reduction raises; a deg det
     the reduced degrees do not add up to raises on a memo hit too."""
-    wk = building._Walker(F3, 3)
+    f5 = FiniteField(5)
+    wk = building._Walker(f5, 3, 1)
     tables = (wk.mult, wk.addt, wk.negt, wk.invt)
     reads = []
 
@@ -483,7 +485,7 @@ def test_memo_hits_keep_the_round_cap():
     # the seeded plan for its singular leading coefficients keeps row 0
     stuck = (0, 1, 0, 0, 1, 0, 0, 0, 1)
     identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    wk.plans = CountingPlans({stuck: ((0, F3.mul_table[1]),), identity: None})
+    wk.plans = CountingPlans({stuck: ((0, f5.mul_table[1]),), identity: None})
     rows = [[[0, 1], [0, 0, 1], []], [[], [1], []], [[], [], [1]]]
     with pytest.raises(InternalConsistencyError, match="did not finish"):
         building._reduce_rows(rows, 3, 1, *tables, wk.plans)
@@ -493,6 +495,119 @@ def test_memo_hits_keep_the_round_cap():
     with pytest.raises(InternalConsistencyError, match="do not sum"):
         building._reduce_rows(rows, 3, -1, *tables, wk.plans)
     assert reads == [identity]
+
+
+def _sliced(rows, width):
+    """Rows of {exponent: coefficient} entries over GF(3), sliced."""
+    out = []
+    for row in rows:
+        p = m = 0
+        for j, ent in enumerate(row):
+            for e, c in ent.items():
+                bit = 1 << (j * width + e)
+                if c == 1:
+                    p |= bit
+                else:
+                    m |= bit
+        out.append((p, m))
+    return out
+
+
+def test_sliced_add_and_double_on_every_pair():
+    """A move whose column 0 is e0 + c e1 gives x + c y in slot 0 for
+    every pair of GF(3) elements, on both planes."""
+    w = 2
+    for c in (1, 2):
+        layers = building._gf3_layers((((0, 1, 0), (1, c, 0)), ((1, 1, 0),)), w)
+        for x in range(3):
+            for y in range(3):
+                row = [{0: x} if x else {}, {0: y} if y else {}]
+                want = F3.add_table[x][F3.mul_table[c][y]]
+                [(p, m)] = building._apply_move_gf3(_sliced([row], w), layers)
+                assert (p, m) == _sliced([[{0: want} if want else {}, row[1]]], w)[0]
+
+
+@pytest.mark.parametrize("dim,max_depth", [(3, 4), (2, 6)])
+def test_sliced_walk_matches_table_path(dim, max_depth):
+    """The q = 3 walker's sliced rows, decoded, equal at every node of
+    every word the rows the unmemoised table path gives, with the same
+    degrees."""
+    wk = building._Walker(F3, dim, max_depth)
+    assert wk.sliced
+    table_recipes = building._move_col_recipes(F3, dim)
+    tables = (F3.mul_table, F3.add_table, [F3.neg(a) for a in range(3)], F3.inv_table)
+
+    def dense(rows):
+        return LaurentMatrix(F3, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
+
+    def rec(node, rows, depth):
+        assert wk.to_matrix(node) == dense(rows)
+        if depth == max_depth:
+            return
+        for sliced, recipe in zip(wk.recipes, table_recipes):
+            nn, nd = wk.child(node, sliced)
+            nr = building._apply_move(rows, recipe, F3.add_table, F3.mul_table)
+            assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
+            rec(nn, nr, depth + 1)
+
+    node, _ = wk.start()
+    rec(node, [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
+    assert any(plan is not None for plan in wk.plans.values())
+
+
+def test_sliced_reducer_keeps_the_round_cap():
+    """On sliced rows a seeded plan that never lowers the degree sum is
+    read sum(degs) - deg det + 1 times, then the reduction raises; a deg
+    det the reduced degrees do not add up to raises, and so do a zero
+    row and a step that cancels its row."""
+    w = 3
+    fmt = building._GF3Format(F3, 3, w)
+    rb = fmt.row_bits
+    reads = []
+
+    class CountingPlans(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    # keys: row i's leading coefficients at bit i * rb, entry j's at j * w
+    # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1;
+    # the seeded plan for its singular leading coefficients keeps row 0
+    stuck = 1 << w | 1 << (rb + w) | 1 << (2 * rb + 2 * w)
+    identity = 1 | 1 << (rb + w) | 1 << (2 * rb + 2 * w)
+    assert fmt.plan(identity) is None and fmt.plan(stuck) is not None
+    plans = CountingPlans({stuck: ((0, False),), identity: None})
+    rows = _sliced([[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]], w)
+    with pytest.raises(InternalConsistencyError, match="did not finish"):
+        building._reduce_rows_gf3(rows, 1, fmt, plans)
+    assert reads == [stuck, stuck]
+    reads.clear()
+    rows = _sliced([[{0: 1} if i == j else {} for j in range(3)] for i in range(3)], w)
+    with pytest.raises(InternalConsistencyError, match="do not sum"):
+        building._reduce_rows_gf3(rows, -1, fmt, plans)
+    assert reads == [identity]
+    rows = _sliced([[{0: 1}, {}, {}], [{}, {}, {}], [{}, {}, {0: 1}]], w)
+    with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
+        building._reduce_rows_gf3(rows, 0, fmt, plans)
+    # [[1, 0, 0], [2, 0, 0], [0, 0, 1]] and the plan row 0 + row 1
+    twice = 1 | 2 << rb | 1 << (2 * rb + 2 * w)
+    rows = _sliced([[{0: 1}, {}, {}], [{0: 2}, {}, {}], [{}, {}, {0: 1}]], w)
+    with pytest.raises(InternalConsistencyError, match="produced a zero row"):
+        building._reduce_rows_gf3(rows, 0, fmt, {twice: ((0, False), (1, False))})
+
+
+def test_sliced_walk_refuses_a_depth_past_its_slots():
+    """Slots sized for depth 3 hold the straight word's t^3 and refuse a
+    fourth step rather than spill it into the next slot."""
+    wk = building._Walker(F3, 3, 3)
+    assert wk.fmt.width == 4
+    node, degs = wk.start()
+    for _ in range(3):
+        node, degs = wk.child(node, wk.recipes[building._STRAIGHT])
+    assert wk.to_matrix(node) == LaurentMatrix.diag_powers(F3, [3, 0, 0])
+    assert degs == [3, 0, 0]
+    with pytest.raises(InternalConsistencyError, match="overflows"):
+        wk.child(node, wk.recipes[building._STRAIGHT])
 
 
 def test_reduction_stops_at_its_bound(monkeypatch):
@@ -530,6 +645,7 @@ def test_reduction_stops_at_its_bound(monkeypatch):
 
 def test_prefix_independence_short():
     assert building.oracle_prefix_mismatches(2, 4) == []
+    assert building.oracle_prefix_mismatches(3, 2) == []
 
 
 def test_path_invariants_along_walks():
