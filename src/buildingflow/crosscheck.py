@@ -60,6 +60,19 @@ def _check(name: str, fn) -> CheckResult:
         return CheckResult(name, False, detail=f"{type(exc).__name__}: {exc}")
 
 
+def _agree(name, ns, got, want, detail="", expected=None, where=False) -> CheckResult:
+    """The check that ``got`` equals ``want`` entry by entry over ``ns``.
+    It reports both lists, or ``expected`` and "agree" or the (n, got,
+    want) mismatches; with ``where`` a mismatch replaces ``detail``."""
+    bad = [(n, a, b) for n, a, b in zip(ns, got, want) if a != b]
+    if expected is None:
+        expected, actual = str(want), str(got)
+    else:
+        actual = str(bad) if bad else "agree"
+    detail = f"mismatch at n={bad}" if where and bad else detail
+    return CheckResult(name, not bad, expected=expected, actual=actual, detail=detail)
+
+
 def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     """Every check of the matrix, in report order.  Oracle walks that
     split over ``cfg.threads`` share one process pool, started by the
@@ -97,15 +110,8 @@ def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckR
     ):
 
         def closed_vs_dp(name=name, taboo=taboo, closed=closed):
-            pairs = list(zip(counts(grid, taboo), [closed(q, n) for n in grid]))
-            bad = [(n, a, b) for n, (a, b) in zip(ns, pairs) if a != b]
-            return CheckResult(
-                name,
-                not bad,
-                expected=str([b for _, b in pairs]),
-                actual=str([a for a, _ in pairs]),
-                detail=f"mismatch at n={bad}" if bad else f"n=1..{ns[-1]}",
-            )
+            got, want = counts(grid, taboo), [closed(q, n) for n in grid]
+            return _agree(name, ns, got, want, f"n=1..{ns[-1]}", where=True)
 
         results.append(_check(name, closed_vs_dp))
 
@@ -312,30 +318,16 @@ def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckR
     for name, first_return in (("oracle_vs_dp_g", False), ("oracle_vs_dp_f", True)):
 
         def oracle_check(name=name, first_return=first_return):
-            per_n = []
-            skipped_n = []
-            for n in oracle_ns:
-                leaves = building.oracle_leaves(q, n)
-                if leaves > cfg.max_leaves:
-                    skipped_n.append((n, leaves))
-                    continue
-                # the walk gives (closed, first-return): index 0 or 1
-                per_n.append((n, walk(n, 3)[first_return], counts([n], first_return)[0]))
-            bad = [(n, a, b) for n, a, b in per_n if a != b]
-            detail = ""
-            if skipped_n:
-                detail = "skipped (budget): " + ", ".join(
-                    f"n={n} needs {lv} leaves" for n, lv in skipped_n
-                )
-            if not per_n:
-                return CheckResult(name, True, skipped=True, detail=detail or "no n within budget")
-            return CheckResult(
-                name,
-                not bad,
-                expected=str([b for _, _, b in per_n]),
-                actual=str([a for _, a, _ in per_n]),
-                detail=detail or f"n={[n for n, _, _ in per_n]}",
+            ran = [n for n in oracle_ns if building.oracle_leaves(q, n) <= cfg.max_leaves]
+            detail = ", ".join(
+                f"n={n} needs {building.oracle_leaves(q, n)} leaves" for n in oracle_ns if n not in ran
             )
+            detail = detail and "skipped (budget): " + detail
+            if not ran:
+                return CheckResult(name, True, skipped=True, detail=detail or "no n within budget")
+            # the walk gives (closed, first-return): index 0 or 1
+            got = [walk(n, 3)[first_return] for n in ran]
+            return _agree(name, ran, got, counts(ran, first_return), detail or f"n={ran}")
 
         results.append(_check(name, oracle_check))
 
@@ -391,28 +383,15 @@ def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckR
     results.append(_check("spr_margin", spr))
 
     def pgl2():
-        bad = []
-        skipped_n = []
-        ran = []
-        for n in (2, 4, 6):
-            if building.oracle_leaves(q, n, 2) > cfg.max_leaves:
-                skipped_n.append(n)
-                continue
-            g, f = walk(n, 2)
-            wg, wf = analysis.pgl2_closed(q, n, "g"), analysis.pgl2_closed(q, n, "f")
-            if (g, f) != (wg, wf):
-                bad.append((n, (g, f), (wg, wf)))
-            ran.append(n)
+        ran = [n for n in (2, 4, 6) if building.oracle_leaves(q, n, 2) <= cfg.max_leaves]
+        skipped_n = [n for n in (2, 4, 6) if n not in ran]
         detail = f"budget-skipped n={skipped_n}" if skipped_n else ""
         if not ran:
             return CheckResult("pgl2_closed_vs_oracle", True, skipped=True, detail=detail)
-        return CheckResult(
-            "pgl2_closed_vs_oracle",
-            not bad,
-            expected=f"tree oracle = closed tree counts, n={ran}",
-            actual="agree" if not bad else str(bad),
-            detail=detail,
-        )
+        got = [walk(n, 2) for n in ran]
+        want = [(analysis.pgl2_closed(q, n, "g"), analysis.pgl2_closed(q, n, "f")) for n in ran]
+        expected = f"tree oracle = closed tree counts, n={ran}"
+        return _agree("pgl2_closed_vs_oracle", ran, got, want, detail, expected)
 
     results.append(_check("pgl2_closed_vs_oracle", pgl2))
 
