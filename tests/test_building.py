@@ -415,31 +415,37 @@ def test_census_lifts_decode_to_their_edges():
             assert quotient_edge_of(BDirectedEdge(VertexClass(mat), VertexClass(mat @ a))) == qe
 
 
+def _walk_against_table_path(wk, max_depth):
+    """Hold wk's rows, decoded, against the rows and degrees the
+    unmemoised table path gives at every node of every word."""
+    field, dim = wk.field, wk.dim
+    table_recipes = building._move_col_recipes(field, dim)
+    tables = (field.mul_table, field.add_table, [field.neg(a) for a in range(field.q)], field.inv_table)
+
+    def dense(rows):
+        return LaurentMatrix(field, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
+
+    def rec(node, rows, depth):
+        assert wk.to_matrix(node) == dense(rows)
+        if depth == max_depth:
+            return
+        for own, recipe in zip(wk.recipes, table_recipes):
+            nn, nd = wk.child(node, own)
+            nr = building._apply_move(rows, recipe, field.add_table, field.mul_table)
+            assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
+            rec(nn, nr, depth + 1)
+
+    node, _ = wk.start()
+    rec(node, [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
+
+
 @pytest.mark.parametrize("dim,max_depth", [(3, 5), (2, 8)])
 def test_packed_walk_matches_table_path(dim, max_depth):
     """The q = 2 walker's packed rows, decoded, equal the rows the
     general table path gives at every node of every word."""
     wk = building._Walker(F2, dim, max_depth)
     assert wk.packed
-    table_recipes = building._move_col_recipes(F2, dim)
-    tables = (F2.mul_table, F2.add_table, [F2.neg(a) for a in range(2)], F2.inv_table)
-
-    def dense(rows):
-        return LaurentMatrix(F2, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
-
-    def rec(node, degs, rows, depth):
-        assert wk.to_matrix(node) == dense(rows)
-        if depth == max_depth:
-            return
-        for packed, recipe in zip(wk.recipes, table_recipes):
-            nn, nd = wk.child(node, packed)
-            nr = building._apply_move(rows, recipe, F2.add_table, F2.mul_table)
-            assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
-            rec(nn, nd, nr, depth + 1)
-
-    node, degs = wk.start()
-    identity = [[[1] if i == j else [] for j in range(dim)] for i in range(dim)]
-    rec(node, degs, identity, 0)
+    _walk_against_table_path(wk, max_depth)
 
 
 @pytest.mark.parametrize("q,dim,max_depth", [(5, 3, 3), (4, 2, 6), (4, 3, 3), (5, 3, 2)])
@@ -529,29 +535,12 @@ def test_sliced_add_and_double_on_every_pair():
 
 @pytest.mark.parametrize("dim,max_depth", [(3, 4), (2, 6)])
 def test_sliced_walk_matches_table_path(dim, max_depth):
-    """The q = 3 walker's sliced rows, decoded, equal at every node of
-    every word the rows the unmemoised table path gives, with the same
-    degrees."""
+    """The q = 3 walker's sliced rows, decoded, equal the rows the
+    general table path gives at every node of every word, and its plan
+    memo is in use."""
     wk = building._Walker(F3, dim, max_depth)
     assert wk.sliced
-    table_recipes = building._move_col_recipes(F3, dim)
-    tables = (F3.mul_table, F3.add_table, [F3.neg(a) for a in range(3)], F3.inv_table)
-
-    def dense(rows):
-        return LaurentMatrix(F3, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
-
-    def rec(node, rows, depth):
-        assert wk.to_matrix(node) == dense(rows)
-        if depth == max_depth:
-            return
-        for sliced, recipe in zip(wk.recipes, table_recipes):
-            nn, nd = wk.child(node, sliced)
-            nr = building._apply_move(rows, recipe, F3.add_table, F3.mul_table)
-            assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
-            rec(nn, nr, depth + 1)
-
-    node, _ = wk.start()
-    rec(node, [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
+    _walk_against_table_path(wk, max_depth)
     assert any(plan is not None for plan in wk.plans.values())
 
 
