@@ -736,7 +736,8 @@ class _GF3Format:
         self.sel = sum(1 << (j * width) for j in range(dim))  # bit 0 of every slot
         self.row_bits = rb = dim * width
         self.row_masks = [((1 << rb) - 1) << (i * rb) for i in range(dim)]
-        self.tables = (field.mul_table, field.add_table, [field.neg(a) for a in range(3)], field.inv_table)
+        negt = [field.neg(a) for a in range(3)]
+        self.tables = (field.mul_table, field.add_table, negt, field.inv_table)
 
     def plan(self, key: int):
         """``_reduction_plan`` of a packed leading-coefficient pattern: the
@@ -804,7 +805,8 @@ def _reduce_rows_gf3(rows, detdeg, fmt: _GF3Format, plans: dict):
             raise InternalConsistencyError("row reduction produced a zero row")
         rows[i_star] = (zp, zm)
         degs[i_star] = d
-        key = key & ~fmt.row_masks[i_star] | ((zp >> d & sel) | (zm >> d & sel) << 1) << (i_star * rb)
+        bits = (zp >> d & sel) | (zm >> d & sel) << 1
+        key = key & ~fmt.row_masks[i_star] | bits << (i_star * rb)
     raise InternalConsistencyError(
         f"row reduction did not finish within its bound (deg det = {detdeg})"
     )
@@ -829,13 +831,13 @@ class _Walker:
       (of m) set when entry j has coefficient 1 (2) at t^e;
     - else: each entry is a list of field elements, lowest degree first.
 
-    ``bound`` is the depth of the deepest node the walk makes.  The
-    entries of a node at depth D are polynomials of degree <= D (its row
-    degrees are >= 0 and sum to D, and a move or a reduction step never
-    lifts an entry above the node's depth), so at q = 3 slots of
-    width = bound + 1 bits hold every node, and a child past ``bound`` is
-    refused with ``InternalConsistencyError`` rather than spilled into
-    the next slot.
+    ``bound`` is the depth of the deepest node the walk makes.  Every
+    entry of a node at depth D has degree <= D: the reduced row degrees
+    are >= 0 and sum to D, a move raises an entry's degree by at most
+    one, and a reduction step never past the largest row degree.  So at
+    q = 3 slots of width = bound + 1 bits hold every row the walk makes,
+    and a child past ``bound`` is refused with ``InternalConsistencyError``
+    rather than spilled into the next slot.
 
     For q != 2, ``plans`` memoises the reduction plan by leading-
     coefficient matrix (flattened, or packed at q = 3), filled as the
@@ -889,7 +891,8 @@ class _Walker:
         elif self.sliced:
             if depth > self.bound:
                 raise InternalConsistencyError(
-                    f"depth {depth} overflows the {self.fmt.width}-bit slots sized for depth {self.bound}"
+                    f"depth {depth} overflows the {self.fmt.width}-bit slots"
+                    f" sized for depth {self.bound}"
                 )
             nr = _apply_move_gf3(rows, recipe)
             nd = _reduce_rows_gf3(nr, depth, self.fmt, self.plans)
@@ -907,8 +910,9 @@ class _Walker:
             rows = [[[(x >> e) & 1 for e in range(x.bit_length())] for x in row] for row in rows]
         elif self.sliced:
             w = self.fmt.width
+            slots = range(0, self.dim * w, w)
             rows = [
-                [[(p >> b & 1) | (m >> b & 1) << 1 for b in range(s, s + w)] for s in range(0, self.dim * w, w)]
+                [[(p >> b & 1) | (m >> b & 1) << 1 for b in range(s, s + w)] for s in slots]
                 for p, m in rows
             ]
         return LaurentMatrix(

@@ -420,7 +420,8 @@ def _walk_against_table_path(wk, max_depth):
     unmemoised table path gives at every node of every word."""
     field, dim = wk.field, wk.dim
     table_recipes = building._move_col_recipes(field, dim)
-    tables = (field.mul_table, field.add_table, [field.neg(a) for a in range(field.q)], field.inv_table)
+    negt = [field.neg(a) for a in range(field.q)]
+    tables = (field.mul_table, field.add_table, negt, field.inv_table)
 
     def dense(rows):
         return LaurentMatrix(field, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
