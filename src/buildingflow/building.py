@@ -1107,8 +1107,8 @@ def oracle_transition_census(
         raise ValueError("m_max must be >= 2")
     field = _field_for(q, field)
     # Each breadth-first level expands at least one new edge with m <= m_max,
-    # so the lifts lie at depth < that many edges, their classified
-    # children at most one deeper.
+    # so an expanded lift lies at depth < E, the number of such edges; its
+    # children lie at depth <= E, and classifying them steps once more.
     wk = _Walker(field, 3, len(shift_mod.all_valid_edges(m_max)) + 1)
     node, degs = wk.start()
     start = wk.classify(node, degs)
