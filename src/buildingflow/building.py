@@ -17,29 +17,28 @@ degrees are the Birkhoff exponents.  ``birkhoff_invariant`` recomputes
 the same exponents by the independent section-dimension route and the
 test suite holds the two against each other.
 
-The walk's row format is private to ``_Walker``.  For q = 2 a
-representative is dim rows of dim ints, bit i of an entry being its
-coefficient of t^i: a move XORs shifted ints and a reduction step looks
-its null vector up in ``_gf2_null_table``.  For q = 3 each row is
-bit-sliced (Boothby & Bradshaw, arXiv:0901.1413) into a pair of ints
-(p, m): entry j owns the slot of bits [j * width, (j + 1) * width), and
-bit j * width + e of p (of m) is set when the entry's coefficient of t^e
-is 1 (is 2).  A move is a few masked shifts and GF(3) additions of whole
-rows, multiplying by 2 swaps the planes, and a slot is sized from the
-walk's depth bound, so a node that would not fit is refused, never
-spilled into the next slot.  Every other q keeps entries as coefficient
-lists driven by the field's tables.  At q = 3 and above a reduction step
-looks its leading-coefficient matrix up in the walker's memo of
-reduction plans, solving only a matrix it has not seen.  Every path
-takes the null vector and pivot row a fresh ``_left_null_vector`` solve
-would, so the packed, the sliced and the table path give the same
+The walk's format is private to ``_Walker``.  At q = 2 and 3 each entry
+owns a slot of width bits, sized from the walk's depth bound, so a node
+that would not fit is refused, never spilled into the next slot (the
+layout of Boothby & Bradshaw, arXiv:0901.1413).  At q = 2 the whole
+representative is one int: row i starts at bit i * row_bits, entry j
+owns the slot at bit j * width of its row, and bit e of the slot is the
+entry's coefficient of t^e; a move XORs a few masked shifts of the whole
+matrix.  At q = 3 each row is bit-sliced into a pair of ints (p, m) with
+the same slots, bit j * width + e of p (of m) set when the entry's
+coefficient of t^e is 1 (is 2); a move is a few masked shifts and GF(3)
+additions of whole rows, and multiplying by 2 swaps the planes.  Every
+other q keeps entries as coefficient lists driven by the field's tables.
+A reduction step looks its leading-coefficient matrix up in the walker's
+memo of reduction plans, solving only a matrix it has not seen.  Every
+path takes the null vector and pivot row a fresh ``_left_null_vector``
+solve would, so the packed, the sliced and the table path give the same
 representatives, and the memo changes none.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -585,97 +584,108 @@ def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt, plans=None):
 
 
 # ---------------------------------------------------------------------------
-# q = 2: GF(2)[t] entries packed into ints, bit i the coefficient of t^i
+# Slot-packed formats: a q = 2 matrix in one int, a q = 3 row in two
+# (Boothby & Bradshaw, arXiv:0901.1413)
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _gf2_null_table(dim: int) -> tuple:
-    """Left null vectors of every dim x dim matrix over GF(2).
+class _SlotFormat:
+    """Slot geometry of the packed formats: entry j of a row holds bits
+    [j * width, (j + 1) * width) of the row, and row i of a q = 2 matrix,
+    or of a leading-coefficient key, sits at bit i * row_bits."""
 
-    A matrix is indexed by its entries read row by row as bits, entry
-    (0, 0) the most significant.  Its slot holds None when it is
-    invertible, else the ascending support of the vector
-    ``_left_null_vector`` picks for it.
+    def __init__(self, field: FiniteField, dim: int, width: int):
+        self.dim = dim
+        self.width = width
+        self.slot = (1 << width) - 1
+        self.folds = tuple(range(width, dim * width, width))  # slots 1 .. dim - 1
+        self.sel = sum(1 << (j * width) for j in range(dim))  # bit 0 of every slot
+        self.row_bits = rb = dim * width
+        self.offs = tuple(range(0, dim * rb, rb))
+        self.row_masks = [((1 << rb) - 1) << off for off in self.offs]
+        negt = [field.neg(a) for a in range(field.q)]
+        self.tables = (field.mul_table, field.add_table, negt, field.inv_table)
+
+    def plan(self, key: int):
+        """``_reduction_plan`` of a packed leading-coefficient pattern: the
+        null vector's support as (row, swap) pairs, swap when the entry
+        is 2, or None when the pattern is invertible."""
+        dim, w = self.dim, self.width
+        lc = [key >> (i * self.row_bits + j * w) & 3 for i in range(dim) for j in range(dim)]
+        c = _left_null_vector(lc, dim, *self.tables)
+        if c is None:
+            return None
+        return tuple((i, ci == 2) for i, ci in enumerate(c) if ci)
+
+
+def _gf2_groups(recipe, fmt: _SlotFormat):
+    """A move's recipe compiled for a packed matrix.
+
+    Term (k, 1, s) of output column j moves slot k of every row by
+    (j - k) * width + s bits.  Terms with equal shifts share one mask, so
+    the move is an XOR of a few masked shifts of the whole matrix.
     """
-    f = FiniteField(2)
-    negt = [f.neg(a) for a in range(2)]
-    top = dim * dim - 1
-    table = []
-    for idx in range(1 << (dim * dim)):
-        lc = [(idx >> (top - k)) & 1 for k in range(dim * dim)]
-        c = _left_null_vector(lc, dim, f.mul_table, f.add_table, negt, f.inv_table)
-        table.append(None if c is None else tuple(i for i in range(dim) if c[i]))
-    return tuple(table)
+    col = sum(fmt.slot << off for off in fmt.offs)  # slot 0 of every row
+    groups: dict = {}
+    for j, terms in enumerate(recipe):
+        for k, _, s in terms:
+            sh = (j - k) * fmt.width + s
+            groups[sh] = groups.get(sh, 0) | col << (k * fmt.width)
+    return tuple((mask, sh) for sh, mask in groups.items())
 
 
-def _apply_move_gf2(rows, recipe):
-    """rows @ u for a move u over GF(2); recipe lists, per output
-    column, the (input column, t-shift) pairs of u's nonzero terms."""
-    out = []
-    for row in rows:
-        new_row = []
-        for terms in recipe:
-            acc = 0
-            for k, s in terms:
-                acc ^= row[k] << s
-            new_row.append(acc)
-        out.append(new_row)
-    return out
+def _reduce_gf2(mat, detdeg, fmt: _SlotFormat, plans: dict):
+    """``_reduce_rows`` over GF(2)[t] on a packed matrix, step for step;
+    returns the reduced matrix and its row degrees.
 
-
-def _reduce_rows_gf2(rows, dim, detdeg, null_table):
-    """``_reduce_rows`` over GF(2)[t] on packed rows, step for step: the
-    same null vector and pivot row, so the same rows and degrees.
-
-    A row of degree d has every entry below 2^(d+1), so e >> d is the
-    entry's coefficient of t^d; ``idx`` holds those bits for every row
-    and only the replaced row's bits change in a step.
+    Row i of degree d contributes mat >> (i * row_bits + d) & sel at bit
+    i * row_bits of the key: one bit per entry, its coefficient of t^d.
+    ``plans`` maps a key to ``fmt.plan`` of it.  A step XORs the plan's
+    other rows, shifted, into the pivot row, and only that row's key
+    bits change.
     """
+    folds, slot, sel, offs, row_masks = fmt.folds, fmt.slot, fmt.sel, fmt.offs, fmt.row_masks
+    f = mat
+    for s in folds:
+        f |= mat >> s
     degs = []
-    idx = 0
-    for row in rows:
-        d = max(row).bit_length() - 1
+    key = 0
+    for off in offs:
+        d = (f >> off & slot).bit_length() - 1
         if d < 0:
             raise InternalConsistencyError("zero row in a vertex representative")
         degs.append(d)
-        for e in row:
-            idx = idx << 1 | e >> d
-    excess = sum(degs) - detdeg
-    row_mask = (1 << dim) - 1
-    for _ in range(excess + 1):
-        support = null_table[idx]
-        if support is None:
-            return _finish_reduction(degs, detdeg)
-        i_star = support[0]
-        for i in support:
+        key |= (mat >> (off + d) & sel) << off
+    for _ in range(sum(degs) - detdeg + 1):
+        try:
+            plan = plans[key]
+        except KeyError:
+            plan = plans[key] = fmt.plan(key)
+        if plan is None:
+            return mat, _finish_reduction(degs, detdeg)
+        i_star = plan[0][0]
+        for i, _ in plan:
             if degs[i] > degs[i_star]:
                 i_star = i
         d_star = degs[i_star]
-        new_row = rows[i_star]
-        for i in support:
+        at = offs[i_star]
+        for i, _ in plan:
             if i != i_star:
-                s = d_star - degs[i]
-                new_row = [a ^ (b << s) for a, b in zip(new_row, rows[i])]
-        d = max(new_row).bit_length() - 1
+                sh = at - offs[i] + d_star - degs[i]
+                x = mat & row_masks[i]
+                mat ^= x << sh if sh >= 0 else x >> -sh
+        row = mat >> at & row_masks[0]
+        f = row
+        for s in folds:
+            f |= row >> s
+        d = (f & slot).bit_length() - 1
         if d < 0:
             raise InternalConsistencyError("row reduction produced a zero row")
-        rows[i_star] = new_row
         degs[i_star] = d
-        excess += d - d_star
-        bits = 0
-        for e in new_row:
-            bits = bits << 1 | e >> d
-        at = (dim - 1 - i_star) * dim
-        idx = idx & ~(row_mask << at) | bits << at
+        key = key & ~row_masks[i_star] | (row >> d & sel) << at
     raise InternalConsistencyError(
         f"row reduction did not finish within its bound (deg det = {detdeg})"
     )
-
-
-# ---------------------------------------------------------------------------
-# q = 3: GF(3)[t] rows bit-sliced into two ints (Boothby & Bradshaw)
-# ---------------------------------------------------------------------------
 
 
 def _gf3_layers(recipe, width):
@@ -724,34 +734,7 @@ def _apply_move_gf3(rows, layers):
     return out
 
 
-class _GF3Format:
-    """Slot geometry of sliced rows: entry j of a row holds bits
-    [j * width, (j + 1) * width) of both planes."""
-
-    def __init__(self, field: FiniteField, dim: int, width: int):
-        self.dim = dim
-        self.width = width
-        self.slot = (1 << width) - 1
-        self.folds = tuple(range(width, dim * width, width))  # slots 1 .. dim - 1
-        self.sel = sum(1 << (j * width) for j in range(dim))  # bit 0 of every slot
-        self.row_bits = rb = dim * width
-        self.row_masks = [((1 << rb) - 1) << (i * rb) for i in range(dim)]
-        negt = [field.neg(a) for a in range(3)]
-        self.tables = (field.mul_table, field.add_table, negt, field.inv_table)
-
-    def plan(self, key: int):
-        """``_reduction_plan`` of a packed leading-coefficient pattern: the
-        null vector's support as (row, swap) pairs, swap when the entry
-        is 2, or None when the pattern is invertible."""
-        dim, w = self.dim, self.width
-        lc = [key >> (i * self.row_bits + j * w) & 3 for i in range(dim) for j in range(dim)]
-        c = _left_null_vector(lc, dim, *self.tables)
-        if c is None:
-            return None
-        return tuple((i, ci == 2) for i, ci in enumerate(c) if ci)
-
-
-def _reduce_rows_gf3(rows, detdeg, fmt: _GF3Format, plans: dict):
+def _reduce_rows_gf3(rows, detdeg, fmt: _SlotFormat, plans: dict):
     """``_reduce_rows`` over GF(3)[t] on sliced rows, step for step.
 
     Row i of degree d contributes (p >> d & sel) | (m >> d & sel) << 1
@@ -826,7 +809,9 @@ class _Walker:
     reached by a word of that length, whose determinant has t-degree
     depth since every move's does 1.  Only the walker reads rows:
 
-    - q = 2: each entry is an int, bit i its coefficient of t^i;
+    - q = 2: the whole matrix is one int, bit i * row_bits + j * width + e
+      set when entry (i, j) has coefficient 1 at t^e, row_bits being
+      dim * width;
     - q = 3: each row is a pair of ints (p, m), bit j * width + e of p
       (of m) set when entry j has coefficient 1 (2) at t^e;
     - else: each entry is a list of field elements, lowest degree first.
@@ -835,16 +820,16 @@ class _Walker:
     entry of a node at depth D has degree <= D: the reduced row degrees
     are >= 0 and sum to D, a move raises an entry's degree by at most
     one, and a reduction step never past the largest row degree.  So at
-    q = 3 slots of width = bound + 1 bits hold every row the walk makes,
-    and a child past ``bound`` is refused with ``InternalConsistencyError``
-    rather than spilled into the next slot.
+    q = 2 and 3 slots of width = bound + 1 bits hold every entry the walk
+    makes, and a child past ``bound`` is refused with
+    ``InternalConsistencyError`` rather than spilled into the next slot.
 
-    For q != 2, ``plans`` memoises the reduction plan by leading-
-    coefficient matrix (flattened, or packed at q = 3), filled as the
-    walk first meets each one.  It holds at most min(q^(dim^2), reduction
-    rounds walked) entries; the rounds are bounded by what bounds the
-    walk (``max_leaves`` for the counting walks, ``m_max`` or ``max_len``
-    for the census and prefix sweeps), and the memo goes with the walker.
+    ``plans`` memoises the reduction plan by leading-coefficient matrix
+    (flattened, or packed at q = 2 and 3), filled as the walk first meets
+    each one.  It holds at most min(q^(dim^2), reduction rounds walked)
+    entries; the rounds are bounded by what bounds the walk
+    (``max_leaves`` for the counting walks, ``m_max`` or ``max_len`` for
+    the census and prefix sweeps), and the memo goes with the walker.
     """
 
     def __init__(self, field: FiniteField, dim: int, bound: int):
@@ -853,18 +838,14 @@ class _Walker:
         self.bound = bound
         self.packed = field.q == 2
         self.sliced = field.q == 3
-        recipes = _move_col_recipes(field, dim)
-        if self.packed:
-            self.null_table = _gf2_null_table(dim)
-            self.recipes = [
-                tuple(tuple((k, s) for k, _, s in terms) for terms in recipe)
-                for recipe in recipes
-            ]
-            return
         self.plans: dict = {}
-        if self.sliced:
-            self.fmt = _GF3Format(field, dim, bound + 1)
-            self.recipes = [_gf3_layers(recipe, self.fmt.width) for recipe in recipes]
+        recipes = _move_col_recipes(field, dim)
+        if self.packed or self.sliced:
+            self.fmt = fmt = _SlotFormat(field, dim, bound + 1)
+            if self.packed:
+                self.recipes = [_gf2_groups(recipe, fmt) for recipe in recipes]
+            else:
+                self.recipes = [_gf3_layers(recipe, fmt.width) for recipe in recipes]
         else:
             self.addt = field.add_table
             self.mult = field.mul_table
@@ -875,7 +856,7 @@ class _Walker:
     def start(self):
         dim = self.dim
         if self.packed:
-            rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            rows = sum(1 << (off + j * self.fmt.width) for j, off in enumerate(self.fmt.offs))
         elif self.sliced:
             rows = [(1 << (i * self.fmt.width), 0) for i in range(dim)]
         else:
@@ -885,15 +866,17 @@ class _Walker:
     def child(self, node, recipe):
         rows, depth = node
         depth += 1
+        if depth > self.bound and (self.packed or self.sliced):
+            raise InternalConsistencyError(
+                f"depth {depth} overflows the {self.fmt.width}-bit slots"
+                f" sized for depth {self.bound}"
+            )
         if self.packed:
-            nr = _apply_move_gf2(rows, recipe)
-            nd = _reduce_rows_gf2(nr, self.dim, depth, self.null_table)
+            z = 0
+            for mask, sh in recipe:
+                z ^= (rows & mask) << sh if sh >= 0 else (rows & mask) >> -sh
+            nr, nd = _reduce_gf2(z, depth, self.fmt, self.plans)
         elif self.sliced:
-            if depth > self.bound:
-                raise InternalConsistencyError(
-                    f"depth {depth} overflows the {self.fmt.width}-bit slots"
-                    f" sized for depth {self.bound}"
-                )
             nr = _apply_move_gf3(rows, recipe)
             nd = _reduce_rows_gf3(nr, depth, self.fmt, self.plans)
         else:
@@ -907,8 +890,8 @@ class _Walker:
         """The representative carried by node."""
         rows, _ = node
         if self.packed:
-            rows = [[[(x >> e) & 1 for e in range(x.bit_length())] for x in row] for row in rows]
-        elif self.sliced:
+            rows = [(rows >> off & self.fmt.row_masks[0], 0) for off in self.fmt.offs]
+        if self.packed or self.sliced:
             w = self.fmt.width
             slots = range(0, self.dim * w, w)
             rows = [

@@ -8,7 +8,9 @@ building oracle), ``validate`` (the full cross-validation matrix),
 Counts cross the process boundary as decimal text so arbitrary
 precision survives every format; half-integer edge indices are
 serialized doubled (k2 = 2k, l2 = 2l).  Exit codes: 0 success,
-1 validation mismatch, 2 invalid input, 3 budget refusal.
+1 validation mismatch, 2 invalid input, 3 budget refusal, and
+141 = 128 + SIGPIPE, quietly, when the reader of stdout goes away (as
+under ``| head``), the status a shell shows for other tools cut off so.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import signal
 import sys
 from collections import deque
 
@@ -29,6 +33,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 128 + signal.SIGPIPE
 
 _PERIOD = {"pgl3": 3, "pgl2": 2}
 
@@ -459,7 +464,14 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError("--threads must be >= 1")
         if getattr(args, "from_oracle", None) is None and hasattr(args, "from_oracle"):
             args.from_oracle = False
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing is left to tell a reader that has gone; point stdout at
+        # devnull so that the interpreter's final flush stays quiet too.
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_BROKEN_PIPE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

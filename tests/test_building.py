@@ -440,13 +440,24 @@ def _walk_against_table_path(wk, max_depth):
     rec(node, [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
 
 
-@pytest.mark.parametrize("dim,max_depth", [(3, 5), (2, 8)])
-def test_packed_walk_matches_table_path(dim, max_depth):
-    """The q = 2 walker's packed rows, decoded, equal the rows the
-    general table path gives at every node of every word."""
-    wk = building._Walker(F2, dim, max_depth)
-    assert wk.packed
+@pytest.mark.parametrize(
+    "dim,max_depth,bound",
+    [
+        pytest.param(3, 5, 5, id="3-5"),
+        pytest.param(2, 8, 8, id="2-8"),
+        (3, 5, 47),  # the census's slot width at m_max = 5
+        (2, 6, 40),
+    ],
+)
+def test_packed_walk_matches_table_path(dim, max_depth, bound):
+    """The q = 2 walker's packed matrix, decoded, equals the rows the
+    general table path gives at every node of every word, with slots
+    just wide enough and with slots wider than the walk needs; its plan
+    memo is in use."""
+    wk = building._Walker(F2, dim, bound)
+    assert wk.packed and wk.fmt.width == bound + 1
     _walk_against_table_path(wk, max_depth)
+    assert any(plan is not None for plan in wk.plans.values())
 
 
 @pytest.mark.parametrize("q,dim,max_depth", [(5, 3, 3), (4, 2, 6), (4, 3, 3), (5, 3, 2)])
@@ -520,6 +531,17 @@ def _sliced(rows, width):
     return out
 
 
+def _packed(mat, fmt):
+    """A matrix over GF(2)[t] packed into one int."""
+    return sum(
+        1 << (fmt.offs[i] + j * fmt.width + e)
+        for i, row in enumerate(mat.rows)
+        for j, ent in enumerate(row)
+        for e, c in ent.items()
+        if c % 2
+    )
+
+
 def test_sliced_add_and_double_on_every_pair():
     """A move whose column 0 is e0 + c e1 gives x + c y in slot 0 for
     every pair of GF(3) elements, on both planes."""
@@ -551,7 +573,7 @@ def test_sliced_reducer_keeps_the_round_cap():
     det the reduced degrees do not add up to raises, and so do a zero
     row and a step that cancels its row."""
     w = 3
-    fmt = building._GF3Format(F3, 3, w)
+    fmt = building._SlotFormat(F3, 3, w)
     rb = fmt.row_bits
     reads = []
 
@@ -600,6 +622,20 @@ def test_sliced_walk_refuses_a_depth_past_its_slots():
         wk.child(node, wk.recipes[building._STRAIGHT])
 
 
+def test_packed_walk_refuses_a_depth_past_its_slots():
+    """Slots sized for depth 3 hold the straight word's t^3 and refuse a
+    fourth step rather than spill it into the next slot."""
+    wk = building._Walker(F2, 3, 3)
+    assert wk.fmt.width == 4
+    node, degs = wk.start()
+    for _ in range(3):
+        node, degs = wk.child(node, wk.recipes[building._STRAIGHT])
+    assert wk.to_matrix(node) == LaurentMatrix.diag_powers(F2, [3, 0, 0])
+    assert degs == [3, 0, 0]
+    with pytest.raises(InternalConsistencyError, match="overflows"):
+        wk.child(node, wk.recipes[building._STRAIGHT])
+
+
 def test_reduction_stops_at_its_bound(monkeypatch):
     """A null vector that never lowers the degree sum is tried exactly
     sum(degs) - deg det + 1 times, then the reduction raises, on both
@@ -618,19 +654,33 @@ def test_reduction_stops_at_its_bound(monkeypatch):
         fast_invariant(m)
     assert len(tries) == 2
 
-    class StuckTable:
-        def __getitem__(self, idx):
-            tries.append(idx)
-            return (0,)
+    class StuckPlans(dict):
+        def __getitem__(self, key):
+            tries.append(key)
+            return ((0, False),)  # keeps row 0 as it is
 
     tries.clear()
-    rows = [[0b10, 0b100, 0], [0, 1, 0], [0, 0, 1]]
+    fmt = building._SlotFormat(F2, 3, 3)
+    m = LaurentMatrix(F2, [[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]])
     with pytest.raises(InternalConsistencyError, match="did not finish"):
-        building._reduce_rows_gf2(rows, 3, 1, StuckTable())
+        building._reduce_gf2(_packed(m, fmt), 1, fmt, StuckPlans())
     assert len(tries) == 2
-    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    identity = _packed(LaurentMatrix.identity(F2, 3), fmt)  # also its own key
     with pytest.raises(InternalConsistencyError, match="do not sum"):
-        building._reduce_rows_gf2(identity, 3, -1, (None,) * 512)
+        building._reduce_gf2(identity, -1, fmt, {identity: None})
+
+
+def test_packed_reducer_refuses_zero_rows():
+    """On a packed matrix a zero row raises, and so does a step that
+    cancels its row."""
+    fmt = building._SlotFormat(F2, 3, 3)
+    rows = LaurentMatrix(F2, [[{0: 1}, {}, {}], [{}, {}, {}], [{}, {}, {0: 1}]])
+    with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
+        building._reduce_gf2(_packed(rows, fmt), 0, fmt, {})
+    # [[1, 0, 0], [1, 0, 0], [0, 0, 1]]: its plan adds row 1 to row 0
+    rows = LaurentMatrix(F2, [[{0: 1}, {}, {}], [{0: 1}, {}, {}], [{}, {}, {0: 1}]])
+    with pytest.raises(InternalConsistencyError, match="produced a zero row"):
+        building._reduce_gf2(_packed(rows, fmt), 0, fmt, {})
 
 
 def test_prefix_independence_short():

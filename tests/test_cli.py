@@ -1,6 +1,9 @@
 """Command-line surface: formats, wire exactness, exit codes."""
 
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -143,6 +146,22 @@ def test_budget_exit_3(capsys):
                        "--max-leaves", "1000")
     assert code == 3
     assert "4096 leaves exceed the budget of 1000" in err  # refused at n=6
+
+
+def test_broken_pipe_exits_141_quietly(monkeypatch, capsys):
+    """A reader that goes away mid-output (as ``| head`` does) ends the
+    run with 128 + SIGPIPE, nothing on stderr, and stdout on devnull."""
+
+    class GonePipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", GonePipe())
+    code = cli.main(["count", "--method", "dp", "--q", "9973", "--steps", "6", "--kind", "N"])
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
