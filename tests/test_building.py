@@ -537,8 +537,7 @@ def _packed(mat, fmt):
         1 << (fmt.offs[i] + j * fmt.width + e)
         for i, row in enumerate(mat.rows)
         for j, ent in enumerate(row)
-        for e, c in ent.items()
-        if c % 2
+        for e in ent
     )
 
 
@@ -638,8 +637,10 @@ def test_packed_walk_refuses_a_depth_past_its_slots():
 
 def test_reduction_stops_at_its_bound(monkeypatch):
     """A null vector that never lowers the degree sum is tried exactly
-    sum(degs) - deg det + 1 times, then the reduction raises, on both
-    reducers; a deg det the reduced degrees do not add up to raises."""
+    sum(degs) - deg det + 1 times, then the reduction raises, on the
+    table path and on a packed q = 2 matrix; a deg det the reduced
+    degrees do not add up to raises, and at q = 2 so do a zero row and a
+    step that cancels its row."""
     # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1
     m = LaurentMatrix(F3, [[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]])
     assert fast_invariant(m) == birkhoff_invariant(VertexClass(m)) == (1, 0)
@@ -668,19 +669,14 @@ def test_reduction_stops_at_its_bound(monkeypatch):
     identity = _packed(LaurentMatrix.identity(F2, 3), fmt)  # also its own key
     with pytest.raises(InternalConsistencyError, match="do not sum"):
         building._reduce_gf2(identity, -1, fmt, {identity: None})
-
-
-def test_packed_reducer_refuses_zero_rows():
-    """On a packed matrix a zero row raises, and so does a step that
-    cancels its row."""
-    fmt = building._SlotFormat(F2, 3, 3)
-    rows = LaurentMatrix(F2, [[{0: 1}, {}, {}], [{}, {}, {}], [{}, {}, {0: 1}]])
+    zero = LaurentMatrix(F2, [[{0: 1}, {}, {}], [{}, {}, {}], [{}, {}, {0: 1}]])
     with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
-        building._reduce_gf2(_packed(rows, fmt), 0, fmt, {})
-    # [[1, 0, 0], [1, 0, 0], [0, 0, 1]]: its plan adds row 1 to row 0
-    rows = LaurentMatrix(F2, [[{0: 1}, {}, {}], [{0: 1}, {}, {}], [{}, {}, {0: 1}]])
+        building._reduce_gf2(_packed(zero, fmt), 0, fmt, {})
+    # [[1, 0, 0], [1, 0, 0], [0, 0, 1]] and the plan row 0 + row 1
+    twice = LaurentMatrix(F2, [[{0: 1}, {}, {}], [{0: 1}, {}, {}], [{}, {}, {0: 1}]])
+    twice = _packed(twice, fmt)  # also its own key
     with pytest.raises(InternalConsistencyError, match="produced a zero row"):
-        building._reduce_gf2(_packed(rows, fmt), 0, fmt, {})
+        building._reduce_gf2(twice, 0, fmt, {twice: ((0, False), (1, False))})
 
 
 def test_prefix_independence_short():
