@@ -23,16 +23,18 @@ that would not fit is refused, never spilled into the next slot (the
 layout of Boothby & Bradshaw, arXiv:0901.1413).  At q = 2 the whole
 representative is one int: row i starts at bit i * row_bits, entry j
 owns the slot at bit j * width of its row, and bit e of the slot is the
-entry's coefficient of t^e; a move XORs a few masked shifts of the whole
-matrix.  At q = 3 each row is bit-sliced into a pair of ints (p, m) with
-the same slots, bit j * width + e of p (of m) set when the entry's
-coefficient of t^e is 1 (is 2); a move is a few masked shifts and GF(3)
-additions of whole rows, and multiplying by 2 swaps the planes.  Every
-other q keeps entries as coefficient lists driven by the field's tables.
-A reduction step looks its leading-coefficient matrix up in the walker's
-memo of reduction plans, solving only a matrix it has not seen.  Every
-path takes the null vector and pivot row a fresh ``_left_null_vector``
-solve would, so the packed, the sliced and the table path give the same
+entry's coefficient of t^e.  At q = 3 the whole representative is
+bit-sliced into a pair of ints (p, m) with the same slots, the bit set
+in p (in m) when the coefficient is 1 (is 2), and multiplying by 2
+swaps the planes.  A node's q^2 children are made together: each
+distinct masked shift of the compiled moves is cut from the node once,
+and each child is the XOR (q = 2) or the GF(3) sum (q = 3) of its
+pieces.  Every other q keeps entries as coefficient lists driven by the
+field's tables.  Each child is then reduced on its own.  A reduction
+step looks its leading-coefficient matrix up in the walker's memo of
+reduction plans, solving only a matrix it has not seen.  Every path
+takes the null vector and pivot row a fresh ``_left_null_vector`` solve
+would, so the packed, the sliced and the table path give the same
 representatives, and the memo changes none.
 """
 
@@ -584,14 +586,14 @@ def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt, plans=None):
 
 
 # ---------------------------------------------------------------------------
-# Slot-packed formats: a q = 2 matrix in one int, a q = 3 row in two
+# Slot-packed formats: a q = 2 matrix in one int, a q = 3 matrix in two
 # (Boothby & Bradshaw, arXiv:0901.1413)
 # ---------------------------------------------------------------------------
 
 
 class _SlotFormat:
     """Slot geometry of the packed formats: entry j of a row holds bits
-    [j * width, (j + 1) * width) of the row, and row i of a q = 2 matrix,
+    [j * width, (j + 1) * width) of the row, and row i of a matrix plane,
     or of a leading-coefficient key, sits at bit i * row_bits."""
 
     def __init__(self, field: FiniteField, dim: int, width: int):
@@ -618,20 +620,41 @@ class _SlotFormat:
         return tuple((i, ci == 2) for i, ci in enumerate(c) if ci)
 
 
-def _gf2_groups(recipe, fmt: _SlotFormat):
-    """A move's recipe compiled for a packed matrix.
+def _slot_moves(recipes, fmt: _SlotFormat, planes: int):
+    """The moves' recipes compiled for a packed matrix of ``planes`` planes.
 
-    Term (k, 1, s) of output column j moves slot k of every row by
-    (j - k) * width + s bits.  Terms with equal shifts share one mask, so
-    the move is an XOR of a few masked shifts of the whole matrix.
+    Term (k, c, s) of output column j moves slot k of every row by
+    (j - k) * width + s bits, and multiplying by c = 2 swaps the planes.
+    The r-th terms of the columns form layer r; their target slots are
+    disjoint, so a layer is an OR of masked shifts, one per distinct shift
+    and swap, and the move is the sum of its layers.  Returns the distinct
+    (mask, shift) pieces of all the moves, and per move: at one plane the
+    indices of its pieces, to be XORed; at two, its layers, each a tuple
+    of (index, index) into the pieces cut as [p0, m0, p1, m1, ...], the
+    plane pair that lands on (p, m), to be ORed and then added in GF(3).
     """
     col = sum(fmt.slot << off for off in fmt.offs)  # slot 0 of every row
-    groups: dict = {}
-    for j, terms in enumerate(recipe):
-        for k, _, s in terms:
-            sh = (j - k) * fmt.width + s
-            groups[sh] = groups.get(sh, 0) | col << (k * fmt.width)
-    return tuple((mask, sh) for sh, mask in groups.items())
+    pieces: dict = {}
+    moves = []
+    for recipe in recipes:
+        layers: list[dict] = []
+        for j, terms in enumerate(recipe):
+            for r, (k, c, s) in enumerate(terms):
+                if r == len(layers):
+                    layers.append({})
+                key = ((j - k) * fmt.width + s, c == 2)
+                layers[r][key] = layers[r].get(key, 0) | col << (k * fmt.width)
+        layers = [
+            [(pieces.setdefault((mask, sh), len(pieces)), swap) for (sh, swap), mask in ly.items()]
+            for ly in layers
+        ]
+        if planes == 1:
+            moves.append(tuple(i for ly in layers for i, _ in ly))
+        else:
+            moves.append(
+                tuple(tuple((2 * i + swap, 2 * i + 1 - swap) for i, swap in ly) for ly in layers)
+            )
+    return tuple(pieces), moves
 
 
 def _reduce_gf2(mat, detdeg, fmt: _SlotFormat, plans: dict):
@@ -688,79 +711,37 @@ def _reduce_gf2(mat, detdeg, fmt: _SlotFormat, plans: dict):
     )
 
 
-def _gf3_layers(recipe, width):
-    """A move's recipe compiled for sliced rows.
+def _reduce_gf3(mat, detdeg, fmt: _SlotFormat, plans: dict):
+    """``_reduce_rows`` over GF(3)[t] on a sliced matrix (p, m), step for
+    step; returns the reduced matrix and its row degrees.
 
-    Term (k, c, s) of output column j moves slot k by (j - k) * width + s
-    bits, and multiplying by c = 2 swaps the planes.  The r-th terms of
-    the columns form layer r; their target slots are disjoint, so a layer
-    is an OR of masked shifts, one (mask, shift, swap) per distinct shift
-    and swap.  The layers are then added in GF(3).
+    Row i of degree d contributes (p >> d & sel) | (m >> d & sel) << 1,
+    read from the row, at bit i * row_bits of the key: two bits per
+    entry, its coefficient of t^d.  ``plans`` maps a key to ``fmt.plan``
+    of it.  A step sums the plan's rows, shifted and doubled as it says,
+    into the pivot row, and only that row's key bits change.
     """
-    slot = (1 << width) - 1
-    layers: list[dict] = []
-    for j, terms in enumerate(recipe):
-        for r, (k, c, s) in enumerate(terms):
-            if r == len(layers):
-                layers.append({})
-            key = ((j - k) * width + s, c == 2)
-            layers[r][key] = layers[r].get(key, 0) | slot << (k * width)
-    return tuple(tuple((mask, sh, swap) for (sh, swap), mask in ly.items()) for ly in layers)
-
-
-def _apply_move_gf3(rows, layers):
-    """rows @ u on sliced rows, u compiled by ``_gf3_layers``.  A sum
-    z = x + y in GF(3) is t = (xp | ym) ^ (xm | yp), zp = (xm | ym) ^ t,
-    zm = (xp | yp) ^ t, bit for bit."""
-    out = []
-    for p, m in rows:
-        zp = None
-        for terms in layers:
-            a = b = 0
-            for mask, sh, swap in terms:
-                x, y = (m & mask, p & mask) if swap else (p & mask, m & mask)
-                if sh >= 0:
-                    a |= x << sh
-                    b |= y << sh
-                else:
-                    a |= x >> -sh
-                    b |= y >> -sh
-            if zp is None:
-                zp, zm = a, b
-            else:
-                t = (zp | b) ^ (zm | a)
-                zp, zm = (zm | b) ^ t, (zp | a) ^ t
-        out.append((zp, zm))
-    return out
-
-
-def _reduce_rows_gf3(rows, detdeg, fmt: _SlotFormat, plans: dict):
-    """``_reduce_rows`` over GF(3)[t] on sliced rows, step for step.
-
-    Row i of degree d contributes (p >> d & sel) | (m >> d & sel) << 1
-    at bit i * row_bits of the key: two bits per entry, the entry's
-    coefficient of t^d.  ``plans`` maps a key to ``fmt.plan`` of it, and
-    only the replaced row's bits change in a step.
-    """
-    folds, slot, sel, rb = fmt.folds, fmt.slot, fmt.sel, fmt.row_bits
+    folds, slot, sel, offs, row_masks = fmt.folds, fmt.slot, fmt.sel, fmt.offs, fmt.row_masks
+    rm = row_masks[0]
+    p, m = mat
+    f = x = p | m
+    for s in folds:
+        f |= x >> s
     degs = []
     key = 0
-    for i, (p, m) in enumerate(rows):
-        f = x = p | m
-        for s in folds:
-            f |= x >> s
-        d = (f & slot).bit_length() - 1
+    for off in offs:
+        d = (f >> off & slot).bit_length() - 1
         if d < 0:
             raise InternalConsistencyError("zero row in a vertex representative")
         degs.append(d)
-        key |= ((p >> d & sel) | (m >> d & sel) << 1) << (i * rb)
+        key |= ((p >> (off + d) & sel) | (m >> (off + d) & sel) << 1) << off
     for _ in range(sum(degs) - detdeg + 1):
         try:
             plan = plans[key]
         except KeyError:
             plan = plans[key] = fmt.plan(key)
         if plan is None:
-            return _finish_reduction(degs, detdeg)
+            return (p, m), _finish_reduction(degs, detdeg)
         i_star = plan[0][0]
         for i, _ in plan:
             if degs[i] > degs[i_star]:
@@ -768,7 +749,8 @@ def _reduce_rows_gf3(rows, detdeg, fmt: _SlotFormat, plans: dict):
         d_star = degs[i_star]
         zp = None
         for i, swap in plan:
-            x, y = rows[i]
+            x = p >> offs[i] & rm
+            y = m >> offs[i] & rm
             if swap:
                 x, y = y, x
             s = d_star - degs[i]
@@ -786,10 +768,12 @@ def _reduce_rows_gf3(rows, detdeg, fmt: _SlotFormat, plans: dict):
         d = (f & slot).bit_length() - 1
         if d < 0:
             raise InternalConsistencyError("row reduction produced a zero row")
-        rows[i_star] = (zp, zm)
         degs[i_star] = d
-        bits = (zp >> d & sel) | (zm >> d & sel) << 1
-        key = key & ~fmt.row_masks[i_star] | bits << (i_star * rb)
+        at = offs[i_star]
+        keep = ~row_masks[i_star]
+        p = p & keep | zp << at
+        m = m & keep | zm << at
+        key = key & keep | ((zp >> d & sel) | (zm >> d & sel) << 1) << at
     raise InternalConsistencyError(
         f"row reduction did not finish within its bound (deg det = {detdeg})"
     )
@@ -812,9 +796,15 @@ class _Walker:
     - q = 2: the whole matrix is one int, bit i * row_bits + j * width + e
       set when entry (i, j) has coefficient 1 at t^e, row_bits being
       dim * width;
-    - q = 3: each row is a pair of ints (p, m), bit j * width + e of p
-      (of m) set when entry j has coefficient 1 (2) at t^e;
+    - q = 3: the whole matrix is a pair of ints (p, m) in the same
+      layout, the bit set in p (in m) when the coefficient is 1 (2);
     - else: each entry is a list of field elements, lowest degree first.
+
+    ``children`` expands a node into all its children at once.  At q = 2
+    and 3 it cuts every (mask, shift) piece of the compiled moves from
+    the node once (7 in dim 3), and each child is the XOR, or the GF(3)
+    sum of layers, of its own pieces; elsewhere it applies each recipe.
+    Each child then goes through its format's reducer.
 
     ``bound`` is the depth of the deepest node the walk makes.  Every
     entry of a node at depth D has degree <= D: the reduced row degrees
@@ -842,61 +832,92 @@ class _Walker:
         recipes = _move_col_recipes(field, dim)
         if self.packed or self.sliced:
             self.fmt = fmt = _SlotFormat(field, dim, bound + 1)
-            if self.packed:
-                self.recipes = [_gf2_groups(recipe, fmt) for recipe in recipes]
-            else:
-                self.recipes = [_gf3_layers(recipe, fmt.width) for recipe in recipes]
+            self.pieces, self.moves = _slot_moves(recipes, fmt, 1 if self.packed else 2)
         else:
             self.addt = field.add_table
             self.mult = field.mul_table
             self.negt = [field.neg(a) for a in range(field.q)]
             self.invt = field.inv_table
-            self.recipes = recipes
+            self.moves = recipes
 
     def start(self):
         dim = self.dim
-        if self.packed:
-            rows = sum(1 << (off + j * self.fmt.width) for j, off in enumerate(self.fmt.offs))
-        elif self.sliced:
-            rows = [(1 << (i * self.fmt.width), 0) for i in range(dim)]
+        if self.packed or self.sliced:
+            ones = sum(1 << (off + j * self.fmt.width) for j, off in enumerate(self.fmt.offs))
+            rows = ones if self.packed else (ones, 0)
         else:
             rows = [[[1] if i == j else [] for j in range(dim)] for i in range(dim)]
         return (rows, 0), [0] * dim
 
-    def child(self, node, recipe):
+    def children(self, node, moves=None):
+        """(child, row degrees) for each of ``moves``, entries of
+        ``self.moves``; by default all of them, in ``continuation_moves``
+        order."""
         rows, depth = node
         depth += 1
-        if depth > self.bound and (self.packed or self.sliced):
-            raise InternalConsistencyError(
-                f"depth {depth} overflows the {self.fmt.width}-bit slots"
-                f" sized for depth {self.bound}"
-            )
+        if moves is None:
+            moves = self.moves
+        out = []
+        if self.packed or self.sliced:
+            if depth > self.bound:
+                raise InternalConsistencyError(
+                    f"depth {depth} overflows the {self.fmt.width}-bit slots"
+                    f" sized for depth {self.bound}"
+                )
+            fmt, plans = self.fmt, self.plans
         if self.packed:
-            z = 0
-            for mask, sh in recipe:
-                z ^= (rows & mask) << sh if sh >= 0 else (rows & mask) >> -sh
-            nr, nd = _reduce_gf2(z, depth, self.fmt, self.plans)
+            cut = [
+                (rows & mask) << sh if sh >= 0 else (rows & mask) >> -sh
+                for mask, sh in self.pieces
+            ]
+            reduce = _reduce_gf2
+            for move in moves:
+                z = 0
+                for i in move:
+                    z ^= cut[i]
+                mat, degs = reduce(z, depth, fmt, plans)
+                out.append(((mat, depth), degs))
         elif self.sliced:
-            nr = _apply_move_gf3(rows, recipe)
-            nd = _reduce_rows_gf3(nr, depth, self.fmt, self.plans)
+            p, m = rows
+            cut = []
+            for mask, sh in self.pieces:
+                x, y = p & mask, m & mask
+                cut += (x << sh, y << sh) if sh >= 0 else (x >> -sh, y >> -sh)
+            reduce = _reduce_gf3
+            for move in moves:
+                zp = None
+                for layer in move:
+                    a = b = 0
+                    for i, j in layer:
+                        a |= cut[i]
+                        b |= cut[j]
+                    if zp is None:
+                        zp, zm = a, b
+                    else:
+                        t = (zp | b) ^ (zm | a)
+                        zp, zm = (zm | b) ^ t, (zp | a) ^ t
+                mat, degs = reduce((zp, zm), depth, fmt, plans)
+                out.append(((mat, depth), degs))
         else:
-            nr = _apply_move(rows, recipe, self.addt, self.mult)
-            nd = _reduce_rows(
-                nr, self.dim, depth, self.mult, self.addt, self.negt, self.invt, self.plans
-            )
-        return (nr, depth), nd
+            tables = (self.mult, self.addt, self.negt, self.invt)
+            reduce = _reduce_rows
+            for recipe in moves:
+                nr = _apply_move(rows, recipe, self.addt, self.mult)
+                out.append(((nr, depth), reduce(nr, self.dim, depth, *tables, self.plans)))
+        return out
 
     def to_matrix(self, node) -> LaurentMatrix:
         """The representative carried by node."""
         rows, _ = node
-        if self.packed:
-            rows = [(rows >> off & self.fmt.row_masks[0], 0) for off in self.fmt.offs]
         if self.packed or self.sliced:
+            p, m = (rows, 0) if self.packed else rows
             w = self.fmt.width
-            slots = range(0, self.dim * w, w)
             rows = [
-                [[(p >> b & 1) | (m >> b & 1) << 1 for b in range(s, s + w)] for s in slots]
-                for p, m in rows
+                [
+                    [(p >> b & 1) | (m >> b & 1) << 1 for b in range(s, s + w)]
+                    for s in range(off, off + self.dim * w, w)
+                ]
+                for off in self.fmt.offs
             ]
         return LaurentMatrix(
             self.field,
@@ -906,7 +927,7 @@ class _Walker:
     def classify(self, node, degs) -> shift_mod.QuotientEdge:
         """Quotient edge of the building edge carried by node (dim 3)."""
         src = _pair_from_degs(degs, self.dim)
-        _, td = self.child(node, self.recipes[_STRAIGHT])
+        [(_, td)] = self.children(node, self.moves[_STRAIGHT : _STRAIGHT + 1])
         tgt = _pair_from_degs(td, self.dim)
         qe = shift_mod.QuotientEdge(shift_mod.QVertex(*src), shift_mod.QVertex(*tgt))
         if not qe.is_valid():
@@ -922,39 +943,35 @@ def _count_run(field: FiniteField, dim: int, n: int, prefix=()) -> tuple[int, in
     source invariant is the origin, first-return additionally forbids
     interior visits."""
     wk = _Walker(field, dim, n)
-    recipes = wk.recipes
     node, degs = wk.start()
     interior = False
-    depth = 0
-    for j in prefix:
-        node, degs = wk.child(node, recipes[j])
-        depth += 1
+    for depth, j in enumerate(prefix, 1):
+        node, degs = wk.children(node)[j]
         if depth < n and max(degs) == min(degs):
             interior = True
+    if len(prefix) == n:
+        at_origin = max(degs) == min(degs)
+        return (1 if at_origin else 0, 1 if at_origin and not interior else 0)
 
     g_total = 0
     f_total = 0
+    children = wk.children
 
-    def rec(node, degs, depth, interior):
+    def rec(node, depth, interior):
+        # node lies at depth < n; the last level is tallied here, not entered
         nonlocal g_total, f_total
-        at_origin = max(degs) == min(degs)
+        kids = children(node)
+        depth += 1
         if depth == n:
-            if at_origin:
-                g_total += 1
-                if not interior:
-                    f_total += 1
+            closed = sum(1 for _, d in kids if max(d) == min(d))
+            g_total += closed
+            if not interior:
+                f_total += closed
             return
-        if depth > 0 and at_origin:
-            interior = True
-        child = wk.child
-        for recipe in recipes:
-            nn, nd = child(node, recipe)
-            rec(nn, nd, depth + 1, interior)
+        for nn, nd in kids:
+            rec(nn, depth, interior or max(nd) == min(nd))
 
-    if depth == n:
-        at_origin = max(degs) == min(degs)
-        return (1 if at_origin else 0, 1 if at_origin and not interior else 0)
-    rec(node, degs, depth, interior)
+    rec(node, len(prefix), interior)
     return g_total, f_total
 
 
@@ -1067,8 +1084,7 @@ def oracle_terminal_profile(
         if depth == n:
             out[wk.classify(node, degs)] += 1
             return
-        for recipe in wk.recipes:
-            nn, nd = wk.child(node, recipe)
+        for nn, nd in wk.children(node):
             rec(nn, nd, depth + 1)
 
     node, degs = wk.start()
@@ -1105,8 +1121,7 @@ def oracle_transition_census(
                 continue
             node = lifts[qe]
             succs: Counter = Counter()
-            for recipe in wk.recipes:
-                nn, nd = wk.child(node, recipe)
+            for nn, nd in wk.children(node):
                 child_qe = wk.classify(nn, nd)
                 succs[child_qe] += 1
                 if child_qe not in lifts:
@@ -1150,12 +1165,8 @@ def oracle_prefix_mismatches(
 
     def rec(node, degs, word):
         qe = wk.classify(node, degs)
-        children = []
-        succs: Counter = Counter()
-        for recipe in wk.recipes:
-            nn, nd = wk.child(node, recipe)
-            children.append((nn, nd))
-            succs[wk.classify(nn, nd)] += 1
+        children = wk.children(node)
+        succs = Counter(wk.classify(nn, nd) for nn, nd in children)
         if qe in reference:
             if reference[qe] != succs:
                 mismatches.append(

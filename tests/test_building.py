@@ -352,6 +352,58 @@ def test_oracle_threads_merge():
     assert building.oracle_g_f(2, 4, threads=2) == building.oracle_g_f(2, 4)
 
 
+class _InProcessPool:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 2)])
+def test_oracle_threads_merge_sliced_and_table(q, n, monkeypatch):
+    """The subtrees under prefix (j,), one per child of the origin in
+    ``continuation_moves`` order, add up to the serial walk."""
+    import concurrent.futures
+
+    prefixes = []
+    count_run = building._count_run
+
+    def recording(field, dim, n, prefix=()):
+        prefixes.append(prefix)
+        return count_run(field, dim, n, prefix)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(building, "_count_run", recording)
+    split = building.oracle_g_f(q, n, threads=2)
+    assert prefixes == [(j,) for j in range(q * q)]
+    assert split == building.oracle_g_f(q, n)
+
+
+@pytest.mark.parametrize(
+    "q,n,reducer", [(2, 6, "_reduce_gf2"), (3, 4, "_reduce_gf3"), (4, 3, "_reduce_rows")]
+)
+def test_oracle_reduces_each_node_once(q, n, reducer, monkeypatch):
+    """A depth-n walk reduces each of its sum_{k=1..n} q^(2k) non-root
+    nodes exactly once."""
+    calls = []
+    reduce = getattr(building, reducer)
+
+    def counting(*args):
+        calls.append(None)
+        return reduce(*args)
+
+    monkeypatch.setattr(building, reducer, counting)
+    building.oracle_g_f(q, n)
+    assert len(calls) == sum(q ** (2 * k) for k in range(1, n + 1))
+
+
 def test_oracle_pool_clamped_to_cpu_count(monkeypatch):
     import concurrent.futures
 
@@ -430,8 +482,7 @@ def _walk_against_table_path(wk, max_depth):
         assert wk.to_matrix(node) == dense(rows)
         if depth == max_depth:
             return
-        for own, recipe in zip(wk.recipes, table_recipes):
-            nn, nd = wk.child(node, own)
+        for (nn, nd), recipe in zip(wk.children(node), table_recipes, strict=True):
             nr = building._apply_move(rows, recipe, field.add_table, field.mul_table)
             assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
             rec(nn, nr, depth + 1)
@@ -469,13 +520,13 @@ def test_memo_walk_matches_unmemoised_reducer(q, dim, max_depth):
     wk = building._Walker(field, dim, max_depth)
     assert not wk.packed and not wk.sliced
     tables = (field.mul_table, field.add_table, wk.negt, field.inv_table)
+    recipes = building._move_col_recipes(field, dim)
 
     def rec(node, rows, depth):
         assert node[0] == rows
         if depth == max_depth:
             return
-        for recipe in wk.recipes:
-            nn, nd = wk.child(node, recipe)
+        for (nn, nd), recipe in zip(wk.children(node), recipes, strict=True):
             nr = building._apply_move(rows, recipe, field.add_table, field.mul_table)
             assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
             rec(nn, nr, depth + 1)
@@ -515,44 +566,40 @@ def test_memo_hits_keep_the_round_cap():
     assert reads == [identity]
 
 
-def _sliced(rows, width):
-    """Rows of {exponent: coefficient} entries over GF(3), sliced."""
-    out = []
-    for row in rows:
-        p = m = 0
+def _sliced(rows, fmt):
+    """Rows of {exponent: coefficient} entries over GF(3), sliced into
+    one pair of planes (p, m)."""
+    planes = [0, 0]
+    for i, row in enumerate(rows):
         for j, ent in enumerate(row):
             for e, c in ent.items():
-                bit = 1 << (j * width + e)
-                if c == 1:
-                    p |= bit
-                else:
-                    m |= bit
-        out.append((p, m))
-    return out
+                planes[c - 1] |= 1 << (fmt.offs[i] + j * fmt.width + e)
+    return tuple(planes)
 
 
 def _packed(mat, fmt):
     """A matrix over GF(2)[t] packed into one int."""
-    return sum(
-        1 << (fmt.offs[i] + j * fmt.width + e)
-        for i, row in enumerate(mat.rows)
-        for j, ent in enumerate(row)
-        for e in ent
-    )
+    return _sliced(mat.rows, fmt)[0]
 
 
 def test_sliced_add_and_double_on_every_pair():
     """A move whose column 0 is e0 + c e1 gives x + c y in slot 0 for
     every pair of GF(3) elements, on both planes."""
-    w = 2
+    # u = [[1, 0, 0], [c, 1, 0], [0, 0, t]] takes [[x, y, 1], [0, 1, 0],
+    # [1, 0, 0]] to [[x + c y, y, t], [c, 1, 0], [1, 0, 0]], already reduced
+    wk = building._Walker(F3, 3, 1)
     for c in (1, 2):
-        layers = building._gf3_layers((((0, 1, 0), (1, c, 0)), ((1, 1, 0),)), w)
+        recipe = (((0, 1, 0), (1, c, 0)), ((1, 1, 0),), ((2, 1, 1),))
+        wk.pieces, wk.moves = building._slot_moves([recipe], wk.fmt, 2)
         for x in range(3):
             for y in range(3):
-                row = [{0: x} if x else {}, {0: y} if y else {}]
+                row = [{0: x} if x else {}, {0: y} if y else {}, {0: 1}]
                 want = F3.add_table[x][F3.mul_table[c][y]]
-                [(p, m)] = building._apply_move_gf3(_sliced([row], w), layers)
-                assert (p, m) == _sliced([[{0: want} if want else {}, row[1]]], w)[0]
+                below = [[{0: c}, {0: 1}, {}], [{0: 1}, {}, {}]]
+                parent = _sliced([row, [{}, {0: 1}, {}], below[1]], wk.fmt)
+                [((mat, _), degs)] = wk.children((parent, 0))
+                assert mat == _sliced([[{0: want} if want else {}, row[1], {1: 1}], *below], wk.fmt)
+                assert degs == [1, 0, 0]
 
 
 @pytest.mark.parametrize("dim,max_depth", [(3, 4), (2, 6)])
@@ -588,23 +635,23 @@ def test_sliced_reducer_keeps_the_round_cap():
     identity = 1 | 1 << (rb + w) | 1 << (2 * rb + 2 * w)
     assert fmt.plan(identity) is None and fmt.plan(stuck) is not None
     plans = CountingPlans({stuck: ((0, False),), identity: None})
-    rows = _sliced([[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]], w)
+    mat = _sliced([[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]], fmt)
     with pytest.raises(InternalConsistencyError, match="did not finish"):
-        building._reduce_rows_gf3(rows, 1, fmt, plans)
+        building._reduce_gf3(mat, 1, fmt, plans)
     assert reads == [stuck, stuck]
     reads.clear()
-    rows = _sliced([[{0: 1} if i == j else {} for j in range(3)] for i in range(3)], w)
+    mat = _sliced([[{0: 1} if i == j else {} for j in range(3)] for i in range(3)], fmt)
     with pytest.raises(InternalConsistencyError, match="do not sum"):
-        building._reduce_rows_gf3(rows, -1, fmt, plans)
+        building._reduce_gf3(mat, -1, fmt, plans)
     assert reads == [identity]
-    rows = _sliced([[{0: 1}, {}, {}], [{}, {}, {}], [{}, {}, {0: 1}]], w)
+    mat = _sliced([[{0: 1}, {}, {}], [{}, {}, {}], [{}, {}, {0: 1}]], fmt)
     with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
-        building._reduce_rows_gf3(rows, 0, fmt, plans)
+        building._reduce_gf3(mat, 0, fmt, plans)
     # [[1, 0, 0], [2, 0, 0], [0, 0, 1]] and the plan row 0 + row 1
     twice = 1 | 2 << rb | 1 << (2 * rb + 2 * w)
-    rows = _sliced([[{0: 1}, {}, {}], [{0: 2}, {}, {}], [{}, {}, {0: 1}]], w)
+    mat = _sliced([[{0: 1}, {}, {}], [{0: 2}, {}, {}], [{}, {}, {0: 1}]], fmt)
     with pytest.raises(InternalConsistencyError, match="produced a zero row"):
-        building._reduce_rows_gf3(rows, 0, fmt, {twice: ((0, False), (1, False))})
+        building._reduce_gf3(mat, 0, fmt, {twice: ((0, False), (1, False))})
 
 
 def test_sliced_walk_refuses_a_depth_past_its_slots():
@@ -614,11 +661,11 @@ def test_sliced_walk_refuses_a_depth_past_its_slots():
     assert wk.fmt.width == 4
     node, degs = wk.start()
     for _ in range(3):
-        node, degs = wk.child(node, wk.recipes[building._STRAIGHT])
+        node, degs = wk.children(node)[building._STRAIGHT]
     assert wk.to_matrix(node) == LaurentMatrix.diag_powers(F3, [3, 0, 0])
     assert degs == [3, 0, 0]
     with pytest.raises(InternalConsistencyError, match="overflows"):
-        wk.child(node, wk.recipes[building._STRAIGHT])
+        wk.children(node)
 
 
 def test_packed_walk_refuses_a_depth_past_its_slots():
@@ -628,11 +675,11 @@ def test_packed_walk_refuses_a_depth_past_its_slots():
     assert wk.fmt.width == 4
     node, degs = wk.start()
     for _ in range(3):
-        node, degs = wk.child(node, wk.recipes[building._STRAIGHT])
+        node, degs = wk.children(node)[building._STRAIGHT]
     assert wk.to_matrix(node) == LaurentMatrix.diag_powers(F2, [3, 0, 0])
     assert degs == [3, 0, 0]
     with pytest.raises(InternalConsistencyError, match="overflows"):
-        wk.child(node, wk.recipes[building._STRAIGHT])
+        wk.children(node)
 
 
 def test_reduction_stops_at_its_bound(monkeypatch):
