@@ -26,10 +26,10 @@ owns the slot at bit j * width of its row, and bit e of the slot is the
 entry's coefficient of t^e.  At q = 3 the whole representative is
 bit-sliced into a pair of ints (p, m) with the same slots, the bit set
 in p (in m) when the coefficient is 1 (is 2), and multiplying by 2
-swaps the planes.  A node's q^2 children are made together: each
-distinct masked shift of the compiled moves is cut from the node once,
-and each child is the XOR (q = 2) or the GF(3) sum (q = 3) of its
-pieces.  Every other q keeps entries as coefficient lists driven by the
+swaps the planes.  A node's children (q^2 in dim 3) are made
+together: each distinct masked shift of the compiled moves is cut from
+the node once, and each child is the XOR (q = 2) or the GF(3) sum
+(q = 3) of its pieces.  Every other q keeps entries as coefficient lists driven by the
 field's tables.  Each child is then reduced on its own.  A reduction
 step looks its leading-coefficient matrix up in the walker's memo of
 reduction plans, solving only a matrix it has not seen.  Every path

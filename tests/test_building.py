@@ -352,20 +352,6 @@ def test_oracle_threads_merge():
     assert building.oracle_g_f(2, 4, threads=2) == building.oracle_g_f(2, 4)
 
 
-class _InProcessPool:
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 2)])
 def test_oracle_threads_merge_sliced_and_table(q, n, monkeypatch):
     """The subtrees under prefix (j,), one per child of the origin in
@@ -404,23 +390,28 @@ def test_oracle_reduces_each_node_once(q, n, reducer, monkeypatch):
     assert len(calls) == sum(q ** (2 * k) for k in range(1, n + 1))
 
 
+class _InProcessPool:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 def test_oracle_pool_clamped_to_cpu_count(monkeypatch):
     import concurrent.futures
 
     sizes = []
 
-    class InProcessPool:
+    class InProcessPool(_InProcessPool):
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(building.os, "cpu_count", lambda: 1)
