@@ -870,12 +870,11 @@ class _Walker:
                 (rows & mask) << sh if sh >= 0 else (rows & mask) >> -sh
                 for mask, sh in self.pieces
             ]
-            reduce = _reduce_gf2
             for move in moves:
                 z = 0
                 for i in move:
                     z ^= cut[i]
-                mat, degs = reduce(z, depth, fmt, plans)
+                mat, degs = _reduce_gf2(z, depth, fmt, plans)
                 out.append(((mat, depth), degs))
         elif self.sliced:
             p, m = rows
@@ -883,7 +882,6 @@ class _Walker:
             for mask, sh in self.pieces:
                 x, y = p & mask, m & mask
                 cut += (x << sh, y << sh) if sh >= 0 else (x >> -sh, y >> -sh)
-            reduce = _reduce_gf3
             for move in moves:
                 zp = None
                 for layer in move:
@@ -893,17 +891,16 @@ class _Walker:
                         b |= cut[j]
                     if zp is None:
                         zp, zm = a, b
-                    else:
+                    else:  # (zp, zm) + (a, b) in GF(3), bit for bit
                         t = (zp | b) ^ (zm | a)
                         zp, zm = (zm | b) ^ t, (zp | a) ^ t
-                mat, degs = reduce((zp, zm), depth, fmt, plans)
+                mat, degs = _reduce_gf3((zp, zm), depth, fmt, plans)
                 out.append(((mat, depth), degs))
         else:
             tables = (self.mult, self.addt, self.negt, self.invt)
-            reduce = _reduce_rows
             for recipe in moves:
                 nr = _apply_move(rows, recipe, self.addt, self.mult)
-                out.append(((nr, depth), reduce(nr, self.dim, depth, *tables, self.plans)))
+                out.append(((nr, depth), _reduce_rows(nr, self.dim, depth, *tables, self.plans)))
         return out
 
     def to_matrix(self, node) -> LaurentMatrix:

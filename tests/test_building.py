@@ -352,6 +352,20 @@ def test_oracle_threads_merge():
     assert building.oracle_g_f(2, 4, threads=2) == building.oracle_g_f(2, 4)
 
 
+class _InProcessPool:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 2)])
 def test_oracle_threads_merge_sliced_and_table(q, n, monkeypatch):
     """The subtrees under prefix (j,), one per child of the origin in
@@ -388,20 +402,6 @@ def test_oracle_reduces_each_node_once(q, n, reducer, monkeypatch):
     monkeypatch.setattr(building, reducer, counting)
     building.oracle_g_f(q, n)
     assert len(calls) == sum(q ** (2 * k) for k in range(1, n + 1))
-
-
-class _InProcessPool:
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
 
 
 def test_oracle_pool_clamped_to_cpu_count(monkeypatch):
