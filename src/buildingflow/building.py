@@ -26,11 +26,11 @@ owns the slot at bit j * width of its row, and bit e of the slot is the
 entry's coefficient of t^e.  At q = 3 the whole representative is
 bit-sliced into a pair of ints (p, m) with the same slots, the bit set
 in p (in m) when the coefficient is 1 (is 2), and multiplying by 2
-swaps the planes.  A node's children (q^2 in dim 3) are made
-together: each distinct masked shift of the compiled moves is cut from
-the node once, and each child is the XOR (q = 2) or the GF(3) sum
-(q = 3) of its pieces.  Every other q keeps entries as coefficient lists driven by the
-field's tables.  Each child is then reduced on its own.  A reduction
+swaps the planes.  Every other q keeps entries as coefficient lists
+driven by the field's tables.  Each move is u_j = a X_j, X_j constant
+and invertible, so a node's q^2 children are one vertex, reduced once:
+each child is R X_j for R = reduce(P a), the XOR (q = 2) or GF(3) sum
+(q = 3) of masked shifts cut from R once (see ``_Walker``).  A reduction
 step looks its leading-coefficient matrix up in the walker's memo of
 reduction plans, solving only a matrix it has not seen.  Every path
 takes the null vector and pivot row a fresh ``_left_null_vector`` solve
@@ -357,13 +357,13 @@ def quotient_edge_of(e: BDirectedEdge) -> shift_mod.QuotientEdge:
     """
     if e.source.dim != 3:
         raise ValueError("quotient edges are defined for dim 3")
-    sm, sn = birkhoff_invariant(e.source)
-    tm, tn = birkhoff_invariant(e.target)
-    qe = shift_mod.QuotientEdge(shift_mod.QVertex(sm, sn), shift_mod.QVertex(tm, tn))
+    return _sector_edge(birkhoff_invariant(e.source), birkhoff_invariant(e.target))
+
+
+def _sector_edge(src, tgt) -> shift_mod.QuotientEdge:
+    qe = shift_mod.QuotientEdge(shift_mod.QVertex(*src), shift_mod.QVertex(*tgt))
     if not qe.is_valid():
-        raise InternalConsistencyError(
-            f"endpoint invariants ({sm},{sn}) -> ({tm},{tn}) are not sector-adjacent"
-        )
+        raise InternalConsistencyError(f"invariants {src} -> {tgt} are not sector-adjacent")
     return qe
 
 
@@ -407,23 +407,22 @@ def continuation_moves(field: FiniteField, dim: int = 3) -> list[LaurentMatrix]:
     return moves
 
 
-def _move_col_recipes(field: FiniteField, dim: int):
-    """Dense column recipes for the moves, in ``continuation_moves`` order.
-
-    A recipe lists, per output column j, the (input column k, coefficient
-    c, t-shift s) terms, one per nonzero c t^s in entry (k, j) of the
-    move; right multiplication acts row by row.
-    """
+def _col_recipes(mats):
+    """Dense column recipes for polynomial matrices: per output column j,
+    the (input column k, coefficient c, t-shift s) terms, one per nonzero
+    c t^s in entry (k, j); right multiplication acts row by row."""
     return [
         tuple(
-            tuple((k, c, s) for k in range(dim) for s, c in sorted(u.rows[k][j].items()))
-            for j in range(dim)
+            tuple((k, c, s) for k in range(u.dim) for s, c in sorted(u.rows[k][j].items()))
+            for j in range(u.dim)
         )
-        for u in continuation_moves(field, dim)
+        for u in mats
     ]
 
 
-_STRAIGHT = 0  # index of the move a itself within the recipe list
+def _move_col_recipes(field: FiniteField, dim: int):
+    """The moves' recipes, in ``continuation_moves`` order."""
+    return _col_recipes(continuation_moves(field, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +604,7 @@ class _SlotFormat:
         self.row_bits = rb = dim * width
         self.offs = tuple(range(0, dim * rb, rb))
         self.row_masks = [((1 << rb) - 1) << off for off in self.offs]
+        self.col0 = sum(self.slot << off for off in self.offs)  # slot 0 of every row
         negt = [field.neg(a) for a in range(field.q)]
         self.tables = (field.mul_table, field.add_table, negt, field.inv_table)
 
@@ -621,7 +621,7 @@ class _SlotFormat:
 
 
 def _slot_moves(recipes, fmt: _SlotFormat, planes: int):
-    """The moves' recipes compiled for a packed matrix of ``planes`` planes.
+    """Column recipes compiled for a packed matrix of ``planes`` planes.
 
     Term (k, c, s) of output column j moves slot k of every row by
     (j - k) * width + s bits, and multiplying by c = 2 swaps the planes.
@@ -633,7 +633,6 @@ def _slot_moves(recipes, fmt: _SlotFormat, planes: int):
     of (index, index) into the pieces cut as [p0, m0, p1, m1, ...], the
     plane pair that lands on (p, m), to be ORed and then added in GF(3).
     """
-    col = sum(fmt.slot << off for off in fmt.offs)  # slot 0 of every row
     pieces: dict = {}
     moves = []
     for recipe in recipes:
@@ -643,7 +642,7 @@ def _slot_moves(recipes, fmt: _SlotFormat, planes: int):
                 if r == len(layers):
                     layers.append({})
                 key = ((j - k) * fmt.width + s, c == 2)
-                layers[r][key] = layers[r].get(key, 0) | col << (k * fmt.width)
+                layers[r][key] = layers[r].get(key, 0) | fmt.col0 << (k * fmt.width)
         layers = [
             [(pieces.setdefault((mask, sh), len(pieces)), swap) for (sh, swap), mask in ly.items()]
             for ly in layers
@@ -800,11 +799,13 @@ class _Walker:
       layout, the bit set in p (in m) when the coefficient is 1 (2);
     - else: each entry is a list of field elements, lowest degree first.
 
-    ``children`` expands a node into all its children at once.  At q = 2
-    and 3 it cuts every (mask, shift) piece of the compiled moves from
-    the node once (7 in dim 3), and each child is the XOR, or the GF(3)
-    sum of layers, of its own pieces; elsewhere it applies each recipe.
-    Each child then goes through its format's reducer.
+    Each move is u_j = a X_j, a the straight move, and the walker raises
+    ``InternalConsistencyError`` unless each X_j = a^-1 u_j is constant
+    and invertible over F_q.  ``children`` reduces only R = reduce(P a)
+    and returns each R X_j with R's row degrees: LC(M X) = LC(M) X keeps
+    the row space of LC's transpose, so its RREF, the null vector
+    ``_left_null_vector`` picks and every round's step; so reduce(P a X_j)
+    = reduce(P a) X_j.  At q = 2 and 3 each child sums pieces cut from R.
 
     ``bound`` is the depth of the deepest node the walk makes.  Every
     entry of a node at depth D has degree <= D: the reduced row degrees
@@ -829,16 +830,22 @@ class _Walker:
         self.packed = field.q == 2
         self.sliced = field.q == 3
         self.plans: dict = {}
-        recipes = _move_col_recipes(field, dim)
+        a_inv = LaurentMatrix.diag_powers(field, [-1] + [0] * (dim - 1))
+        mixes = [a_inv @ u for u in continuation_moves(field, dim)]
+        for x in mixes:
+            if any(set(e) - {0} for r in x.rows for e in r) or not x.det_adj()[0]:
+                raise InternalConsistencyError("a move is not a times a constant invertible matrix")
+        mixes = _col_recipes(mixes)
         if self.packed or self.sliced:
             self.fmt = fmt = _SlotFormat(field, dim, bound + 1)
-            self.pieces, self.moves = _slot_moves(recipes, fmt, 1 if self.packed else 2)
+            self.pieces, self.moves = _slot_moves(mixes, fmt, 1 if self.packed else 2)
         else:
             self.addt = field.add_table
             self.mult = field.mul_table
             self.negt = [field.neg(a) for a in range(field.q)]
             self.invt = field.inv_table
-            self.moves = recipes
+            [self.step] = _col_recipes([std_step(field, dim)])
+            self.moves = mixes
 
     def start(self):
         dim = self.dim
@@ -849,40 +856,51 @@ class _Walker:
             rows = [[[1] if i == j else [] for j in range(dim)] for i in range(dim)]
         return (rows, 0), [0] * dim
 
-    def children(self, node, moves=None):
-        """(child, row degrees) for each of ``moves``, entries of
-        ``self.moves``; by default all of them, in ``continuation_moves``
-        order."""
+    def straight(self, node):
+        """(R, row degrees) for the reduced straight child R of node."""
         rows, depth = node
         depth += 1
-        if moves is None:
-            moves = self.moves
+        if not (self.packed or self.sliced):
+            mat = _apply_move(rows, self.step, self.addt, self.mult)
+            tables = (self.mult, self.addt, self.negt, self.invt)
+            return (mat, depth), _reduce_rows(mat, self.dim, depth, *tables, self.plans)
+        if depth > self.bound:
+            raise InternalConsistencyError(
+                f"depth {depth} overflows the {self.fmt.width}-bit slots"
+                f" sized for depth {self.bound}"
+            )
+        # P a is P with column 0 times t: slot 0 of every row moves up one
+        # bit, and stays in its slot, as every entry of P has degree < bound
+        c0 = self.fmt.col0
+        if self.packed:
+            mat, degs = _reduce_gf2(rows + (rows & c0), depth, self.fmt, self.plans)
+        else:
+            p, m = rows
+            mat, degs = _reduce_gf3((p + (p & c0), m + (m & c0)), depth, self.fmt, self.plans)
+        return (mat, depth), degs
+
+    def children(self, node):
+        """(R X_j, R's row degrees) for each move, in ``continuation_moves``
+        order, R the reduced straight child; all share one degrees list."""
+        (rows, depth), degs = self.straight(node)
         out = []
-        if self.packed or self.sliced:
-            if depth > self.bound:
-                raise InternalConsistencyError(
-                    f"depth {depth} overflows the {self.fmt.width}-bit slots"
-                    f" sized for depth {self.bound}"
-                )
-            fmt, plans = self.fmt, self.plans
         if self.packed:
             cut = [
                 (rows & mask) << sh if sh >= 0 else (rows & mask) >> -sh
                 for mask, sh in self.pieces
             ]
-            for move in moves:
+            for move in self.moves:
                 z = 0
                 for i in move:
                     z ^= cut[i]
-                mat, degs = _reduce_gf2(z, depth, fmt, plans)
-                out.append(((mat, depth), degs))
+                out.append(((z, depth), degs))
         elif self.sliced:
             p, m = rows
             cut = []
             for mask, sh in self.pieces:
                 x, y = p & mask, m & mask
                 cut += (x << sh, y << sh) if sh >= 0 else (x >> -sh, y >> -sh)
-            for move in moves:
+            for move in self.moves:
                 zp = None
                 for layer in move:
                     a = b = 0
@@ -894,13 +912,10 @@ class _Walker:
                     else:  # (zp, zm) + (a, b) in GF(3), bit for bit
                         t = (zp | b) ^ (zm | a)
                         zp, zm = (zm | b) ^ t, (zp | a) ^ t
-                mat, degs = _reduce_gf3((zp, zm), depth, fmt, plans)
-                out.append(((mat, depth), degs))
+                out.append((((zp, zm), depth), degs))
         else:
-            tables = (self.mult, self.addt, self.negt, self.invt)
-            for recipe in moves:
-                nr = _apply_move(rows, recipe, self.addt, self.mult)
-                out.append(((nr, depth), _reduce_rows(nr, self.dim, depth, *tables, self.plans)))
+            for recipe in self.moves:
+                out.append(((_apply_move(rows, recipe, self.addt, self.mult), depth), degs))
         return out
 
     def to_matrix(self, node) -> LaurentMatrix:
@@ -921,17 +936,13 @@ class _Walker:
             [[{e: c for e, c in enumerate(ent) if c} for ent in row] for row in rows],
         )
 
+    def edge(self, degs, child_degs) -> shift_mod.QuotientEdge:
+        """Quotient edge from the row degrees of a node and its children."""
+        return _sector_edge(_pair_from_degs(degs, self.dim), _pair_from_degs(child_degs, self.dim))
+
     def classify(self, node, degs) -> shift_mod.QuotientEdge:
         """Quotient edge of the building edge carried by node (dim 3)."""
-        src = _pair_from_degs(degs, self.dim)
-        [(_, td)] = self.children(node, self.moves[_STRAIGHT : _STRAIGHT + 1])
-        tgt = _pair_from_degs(td, self.dim)
-        qe = shift_mod.QuotientEdge(shift_mod.QVertex(*src), shift_mod.QVertex(*tgt))
-        if not qe.is_valid():
-            raise InternalConsistencyError(
-                f"walk invariants {src} -> {tgt} are not sector-adjacent"
-            )
-        return qe
+        return self.edge(degs, self.straight(node)[1])
 
 
 def _count_run(field: FiniteField, dim: int, n: int, prefix=()) -> tuple[int, int]:
@@ -952,21 +963,24 @@ def _count_run(field: FiniteField, dim: int, n: int, prefix=()) -> tuple[int, in
 
     g_total = 0
     f_total = 0
-    children = wk.children
+    children, straight, width = wk.children, wk.straight, len(wk.moves)
 
     def rec(node, depth, interior):
-        # node lies at depth < n; the last level is tallied here, not entered
+        # node lies at depth < n; its children share the straight child's
+        # row degrees, so the last level is tallied from that one reduction
         nonlocal g_total, f_total
-        kids = children(node)
         depth += 1
         if depth == n:
-            closed = sum(1 for _, d in kids if max(d) == min(d))
-            g_total += closed
-            if not interior:
-                f_total += closed
+            _, d = straight(node)
+            if max(d) == min(d):
+                g_total += width
+                if not interior:
+                    f_total += width
             return
-        for nn, nd in kids:
-            rec(nn, depth, interior or max(nd) == min(nd))
+        kids = children(node)
+        interior = interior or max(kids[0][1]) == min(kids[0][1])
+        for nn, _ in kids:
+            rec(nn, depth, interior)
 
     rec(node, len(prefix), interior)
     return g_total, f_total
@@ -1161,8 +1175,8 @@ def oracle_prefix_mismatches(
     mismatches: list[str] = []
 
     def rec(node, degs, word):
-        qe = wk.classify(node, degs)
         children = wk.children(node)
+        qe = wk.edge(degs, children[0][1])
         succs = Counter(wk.classify(nn, nd) for nn, nd in children)
         if qe in reference:
             if reference[qe] != succs:

@@ -390,8 +390,9 @@ def test_oracle_threads_merge_sliced_and_table(q, n, monkeypatch):
     "q,n,reducer", [(2, 6, "_reduce_gf2"), (3, 4, "_reduce_gf3"), (4, 3, "_reduce_rows")]
 )
 def test_oracle_reduces_each_node_once(q, n, reducer, monkeypatch):
-    """A depth-n walk reduces each of its sum_{k=1..n} q^(2k) non-root
-    nodes exactly once."""
+    """A depth-n walk reduces once per node above its leaves: the
+    straight child of each of its sum_{k=0..n-1} q^(2k) nodes at depth
+    < n, whose q^2 children are that one reduced vertex."""
     calls = []
     reduce = getattr(building, reducer)
 
@@ -401,7 +402,49 @@ def test_oracle_reduces_each_node_once(q, n, reducer, monkeypatch):
 
     monkeypatch.setattr(building, reducer, counting)
     building.oracle_g_f(q, n)
-    assert len(calls) == sum(q ** (2 * k) for k in range(1, n + 1))
+    assert len(calls) == sum(q ** (2 * k) for k in range(n))
+
+
+def test_prefix_sweep_reduction_count(monkeypatch):
+    """The prefix sweep at (3, 2) expands 91 nodes; each reduces its
+    straight child once and classifies its 9 children once: 910
+    reductions, a node's own edge read off its children's degrees."""
+    calls = []
+    reduce = building._reduce_gf3
+
+    def counting(*args):
+        calls.append(None)
+        return reduce(*args)
+
+    monkeypatch.setattr(building, "_reduce_gf3", counting)
+    assert building.oracle_prefix_mismatches(3, 2) == []
+    assert len(calls) == 910
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_walker_mixes_are_constant_and_invertible(q, dim, monkeypatch):
+    """Each move is a X_j with X_j = a^-1 u_j constant and invertible
+    over F_q; a move with t outside row 0, or with a singular X_j, makes
+    the walker refuse to start."""
+    field = FiniteField(q)
+    moves = continuation_moves(field, dim)
+    a_inv = LaurentMatrix.diag_powers(field, [-1] + [0] * (dim - 1))
+    for u in moves:
+        x = a_inv @ u
+        assert all(set(e) <= {0} for row in x.rows for e in row)
+        det, _ = x.det_adj()
+        assert set(det) == {0} and det[0]
+    rows = moves[-1].rows
+    t_below = [list(row) for row in rows]
+    t_below[1][0] = {1: 1}  # t in row 1: X_j is not constant
+    # row 0 = t row 1: X_j is constant, with two equal rows
+    singular = [[{s + 1: c for s, c in e.items()} for e in rows[1]], *rows[1:]]
+    for bad in (t_below, singular):
+        bad_moves = moves[:-1] + [LaurentMatrix(field, bad)]
+        monkeypatch.setattr(building, "continuation_moves", lambda f, d, m=bad_moves: m)
+        with pytest.raises(InternalConsistencyError, match="constant invertible"):
+            building._Walker(field, dim, 2)
 
 
 def test_oracle_pool_clamped_to_cpu_count(monkeypatch):
@@ -574,23 +617,25 @@ def _packed(mat, fmt):
 
 
 def test_sliced_add_and_double_on_every_pair():
-    """A move whose column 0 is e0 + c e1 gives x + c y in slot 0 for
-    every pair of GF(3) elements, on both planes."""
-    # u = [[1, 0, 0], [c, 1, 0], [0, 0, t]] takes [[x, y, 1], [0, 1, 0],
-    # [1, 0, 0]] to [[x + c y, y, t], [c, 1, 0], [1, 0, 0]], already reduced
-    wk = building._Walker(F3, 3, 1)
+    """A sibling layer whose column 0 is e0 + c e1 gives x + c y in
+    slot 0 for every pair of GF(3) elements, on both planes."""
+    # the parent [[x, y t, t], [0, 1, 0], [1, 0, 0]] at depth 1 has the
+    # straight child R = [[x t, y t, t], [0, 1, 0], [t, 0, 0]], already
+    # reduced; X = [[1, 0, 0], [c, 1, 0], [0, 0, 1]] takes R to
+    # [[(x + c y) t, y t, t], [c, 1, 0], [t, 0, 0]]
+    wk = building._Walker(F3, 3, 2)
     for c in (1, 2):
-        recipe = (((0, 1, 0), (1, c, 0)), ((1, 1, 0),), ((2, 1, 1),))
+        recipe = (((0, 1, 0), (1, c, 0)), ((1, 1, 0),), ((2, 1, 0),))
         wk.pieces, wk.moves = building._slot_moves([recipe], wk.fmt, 2)
         for x in range(3):
             for y in range(3):
-                row = [{0: x} if x else {}, {0: y} if y else {}, {0: 1}]
                 want = F3.add_table[x][F3.mul_table[c][y]]
-                below = [[{0: c}, {0: 1}, {}], [{0: 1}, {}, {}]]
-                parent = _sliced([row, [{}, {0: 1}, {}], below[1]], wk.fmt)
-                [((mat, _), degs)] = wk.children((parent, 0))
-                assert mat == _sliced([[{0: want} if want else {}, row[1], {1: 1}], *below], wk.fmt)
-                assert degs == [1, 0, 0]
+                yt = {1: y} if y else {}
+                parent = [[{0: x} if x else {}, yt, {1: 1}], [{}, {0: 1}, {}], [{0: 1}, {}, {}]]
+                [((mat, _), degs)] = wk.children((_sliced(parent, wk.fmt), 1))
+                row0 = [{1: want} if want else {}, yt, {1: 1}]
+                assert mat == _sliced([row0, [{0: c}, {0: 1}, {}], [{1: 1}, {}, {}]], wk.fmt)
+                assert degs == [1, 0, 1]
 
 
 @pytest.mark.parametrize("dim,max_depth", [(3, 4), (2, 6)])
@@ -652,7 +697,7 @@ def test_sliced_walk_refuses_a_depth_past_its_slots():
     assert wk.fmt.width == 4
     node, degs = wk.start()
     for _ in range(3):
-        node, degs = wk.children(node)[building._STRAIGHT]
+        node, degs = wk.straight(node)
     assert wk.to_matrix(node) == LaurentMatrix.diag_powers(F3, [3, 0, 0])
     assert degs == [3, 0, 0]
     with pytest.raises(InternalConsistencyError, match="overflows"):
@@ -666,7 +711,7 @@ def test_packed_walk_refuses_a_depth_past_its_slots():
     assert wk.fmt.width == 4
     node, degs = wk.start()
     for _ in range(3):
-        node, degs = wk.children(node)[building._STRAIGHT]
+        node, degs = wk.straight(node)
     assert wk.to_matrix(node) == LaurentMatrix.diag_powers(F2, [3, 0, 0])
     assert degs == [3, 0, 0]
     with pytest.raises(InternalConsistencyError, match="overflows"):
