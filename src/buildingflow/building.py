@@ -8,34 +8,29 @@ enumeration, geodesic continuation, the Birkhoff invariant computed by
 section dimensions, and an exhaustive path oracle that the quotient
 dynamic programming must reproduce.
 
-The oracle walks words in a fixed set of q^2 continuation moves: a
-type-1 edge is a pair (M K, M a K) with a = diag(t, 1, ..., 1), and its
-admissible continuations are exactly (M u K, M u a K) for the moves u
-listed in ``continuation_moves``.  Invariants along a walk are read off
-a row-reduced form of M maintained incrementally; the reduced row
-degrees are the Birkhoff exponents.  ``birkhoff_invariant`` recomputes
-the same exponents by the independent section-dimension route and the
-test suite holds the two against each other.
+The oracle walks type-1 edges, the states of the geodesic flow: an
+edge is a pair (M K, M a K) with a = diag(t, 1, ..., 1), and its
+admissible continuations are exactly (M u K, M u a K) for the q^2
+moves u listed in ``continuation_moves``, so a word in the moves names
+an edge.  Invariants along a walk are read off row-reduced forms; the
+reduced row degrees are the Birkhoff exponents.  ``birkhoff_invariant``
+recomputes the same exponents by the independent section-dimension
+route and the test suite holds the two against each other.
 
-The walk's format is private to ``_Walker``.  At q = 2 and 3 each entry
-owns a slot of width bits, sized from the walk's depth bound, so a node
-that would not fit is refused, never spilled into the next slot (the
-layout of Boothby & Bradshaw, arXiv:0901.1413).  At q = 2 the whole
-representative is one int: row i starts at bit i * row_bits, entry j
-owns the slot at bit j * width of its row, and bit e of the slot is the
-entry's coefficient of t^e.  At q = 3 the whole representative is
-bit-sliced into a pair of ints (p, m) with the same slots, the bit set
-in p (in m) when the coefficient is 1 (is 2), and multiplying by 2
-swaps the planes.  Every other q keeps entries as coefficient lists
-driven by the field's tables.  Each move is u_j = a X_j, X_j constant
-and invertible, so a node's q^2 children are one vertex, reduced once:
-each child is R X_j for R = reduce(P a), the XOR (q = 2) or GF(3) sum
-(q = 3) of masked shifts cut from R once (see ``_Walker``).  A reduction
-step looks its leading-coefficient matrix up in the walker's memo of
-reduction plans, solving only a matrix it has not seen.  Every path
-takes the null vector and pivot row a fresh ``_left_null_vector`` solve
-would, so the packed, the sliced and the table path give the same
-representatives, and the memo changes none.
+An edge of the walk is its source P and its reduced target R =
+reduce(P a) with R's row degrees (formats in ``_Walker``), so the
+quotient edge under it is read off two degree lists, and each of its
+q^2 continuations costs the one reduction of its own target.  One
+depth-first driver, ``_Walker.walk``, serves the counting walk, the
+terminal profile and the prefix sweep; the census expands its
+breadth-first lifts with the same ``_Walker.successors``.  Each reduces
+once per edge it visits: sum_{k<n} q^(2k) times for a depth-n count,
+sum_{k<=n} for the depth-n terminal profile, sum_{k<=max_len+1} for the
+prefix sweep and 1 + q^2 E for a census of E quotient edges.  The
+packed (q = 2), sliced (q = 3) and table paths, with or without the
+memo of reduction plans, take the null vector and pivot row a fresh
+``_left_null_vector`` solve would, so they give the same
+representatives.
 """
 
 from __future__ import annotations
@@ -420,11 +415,6 @@ def _col_recipes(mats):
     ]
 
 
-def _move_col_recipes(field: FiniteField, dim: int):
-    """The moves' recipes, in ``continuation_moves`` order."""
-    return _col_recipes(continuation_moves(field, dim))
-
-
 # ---------------------------------------------------------------------------
 # Dense fast path: polynomials as coefficient lists, rows reduced in place
 # ---------------------------------------------------------------------------
@@ -786,11 +776,13 @@ def _pair_from_degs(degs, dim):
 
 
 class _Walker:
-    """Shared state for enumerating continuation words.
+    """Shared state for walking type-1 edges by continuation words.
 
-    A node is (rows, depth): a row-reduced representative of the vertex
-    reached by a word of that length, whose determinant has t-degree
-    depth since every move's does 1.  Only the walker reads rows:
+    An edge is (P, R, degs): P a row-reduced representative of the
+    source vertex a word reaches, R = reduce(P a) one of its target, and
+    degs R's row degrees.  A word of length k gives det P t-degree k,
+    since every move's det has degree 1, so the edge's depth k is
+    sum(degs) - 1.  Only the walker reads P and R:
 
     - q = 2: the whole matrix is one int, bit i * row_bits + j * width + e
       set when entry (i, j) has coefficient 1 at t^e, row_bits being
@@ -799,20 +791,24 @@ class _Walker:
       layout, the bit set in p (in m) when the coefficient is 1 (2);
     - else: each entry is a list of field elements, lowest degree first.
 
-    Each move is u_j = a X_j, a the straight move, and the walker raises
-    ``InternalConsistencyError`` unless each X_j = a^-1 u_j is constant
-    and invertible over F_q.  ``children`` reduces only R = reduce(P a)
-    and returns each R X_j with R's row degrees: LC(M X) = LC(M) X keeps
-    the row space of LC's transpose, so its RREF, the null vector
-    ``_left_null_vector`` picks and every round's step; so reduce(P a X_j)
-    = reduce(P a) X_j.  At q = 2 and 3 each child sums pieces cut from R.
+    ``start`` gives the base edge (the empty word) and ``successors`` the
+    q^2 continuations of an edge in ``continuation_moves`` order; ``walk``
+    drives both depth first.  Each move is u_j = a X_j, a the straight
+    move, and the walker raises ``InternalConsistencyError`` unless each
+    X_j = a^-1 u_j is constant and invertible over F_q.  Then LC(M X_j) =
+    LC(M) X_j keeps the row space of LC's transpose, so its RREF, the null
+    vector ``_left_null_vector`` picks and every round's step: so
+    reduce(P u_j) = R X_j, with R's row degrees.  Continuation j is the
+    edge out of R X_j, and its target costs one reduction; at q = 2 and
+    3 each R X_j sums pieces cut from R once.  The quotient edge of a
+    continuation is ``quotient(degs, its degs)``, with no reduction.
 
-    ``bound`` is the depth of the deepest node the walk makes.  Every
-    entry of a node at depth D has degree <= D: the reduced row degrees
+    ``bound`` is the depth of the deepest target the walk reduces.  Every
+    entry of a vertex at depth D has degree <= D: the reduced row degrees
     are >= 0 and sum to D, a move raises an entry's degree by at most
     one, and a reduction step never past the largest row degree.  So at
     q = 2 and 3 slots of width = bound + 1 bits hold every entry the walk
-    makes, and a child past ``bound`` is refused with
+    makes, and a target past ``bound`` is refused with
     ``InternalConsistencyError`` rather than spilled into the next slot.
 
     ``plans`` memoises the reduction plan by leading-coefficient matrix
@@ -848,58 +844,65 @@ class _Walker:
             self.moves = mixes
 
     def start(self):
-        dim = self.dim
+        """The base edge: the identity and reduce(a)."""
         if self.packed or self.sliced:
             ones = sum(1 << (off + j * self.fmt.width) for j, off in enumerate(self.fmt.offs))
             rows = ones if self.packed else (ones, 0)
         else:
-            rows = [[[1] if i == j else [] for j in range(dim)] for i in range(dim)]
-        return (rows, 0), [0] * dim
+            rows = [[[1] if i == j else [] for j in range(self.dim)] for i in range(self.dim)]
+        return self._edges([rows], 1)[0]
 
-    def straight(self, node):
-        """(R, row degrees) for the reduced straight child R of node."""
-        rows, depth = node
-        depth += 1
+    def _edges(self, sources, depth):
+        """The edges (P, reduce(P a), its row degrees) out of the reduced
+        sources P, whose targets lie at ``depth``."""
+        out = []
         if not (self.packed or self.sliced):
-            mat = _apply_move(rows, self.step, self.addt, self.mult)
             tables = (self.mult, self.addt, self.negt, self.invt)
-            return (mat, depth), _reduce_rows(mat, self.dim, depth, *tables, self.plans)
+            for rows in sources:
+                mat = _apply_move(rows, self.step, self.addt, self.mult)
+                out.append((rows, mat, _reduce_rows(mat, self.dim, depth, *tables, self.plans)))
+            return out
+        fmt, plans = self.fmt, self.plans
         if depth > self.bound:
             raise InternalConsistencyError(
-                f"depth {depth} overflows the {self.fmt.width}-bit slots"
-                f" sized for depth {self.bound}"
+                f"depth {depth} overflows the {fmt.width}-bit slots sized for depth {self.bound}"
             )
         # P a is P with column 0 times t: slot 0 of every row moves up one
         # bit, and stays in its slot, as every entry of P has degree < bound
-        c0 = self.fmt.col0
+        c0 = fmt.col0
         if self.packed:
-            mat, degs = _reduce_gf2(rows + (rows & c0), depth, self.fmt, self.plans)
+            for z in sources:
+                mat, degs = _reduce_gf2(z + (z & c0), depth, fmt, plans)
+                out.append((z, mat, degs))
         else:
-            p, m = rows
-            mat, degs = _reduce_gf3((p + (p & c0), m + (m & c0)), depth, self.fmt, self.plans)
-        return (mat, depth), degs
+            for src in sources:
+                p, m = src
+                mat, degs = _reduce_gf3((p + (p & c0), m + (m & c0)), depth, fmt, plans)
+                out.append((src, mat, degs))
+        return out
 
-    def children(self, node):
-        """(R X_j, R's row degrees) for each move, in ``continuation_moves``
-        order, R the reduced straight child; all share one degrees list."""
-        (rows, depth), degs = self.straight(node)
-        out = []
+    def successors(self, edge):
+        """The q^2 continuations of edge, in ``continuation_moves`` order:
+        the edges out of R X_j, R the edge's target."""
+        _, rows, degs = edge
         if self.packed:
             cut = [
                 (rows & mask) << sh if sh >= 0 else (rows & mask) >> -sh
                 for mask, sh in self.pieces
             ]
+            sources = []
             for move in self.moves:
                 z = 0
                 for i in move:
                     z ^= cut[i]
-                out.append(((z, depth), degs))
+                sources.append(z)
         elif self.sliced:
             p, m = rows
             cut = []
             for mask, sh in self.pieces:
                 x, y = p & mask, m & mask
                 cut += (x << sh, y << sh) if sh >= 0 else (x >> -sh, y >> -sh)
+            sources = []
             for move in self.moves:
                 zp = None
                 for layer in move:
@@ -912,15 +915,28 @@ class _Walker:
                     else:  # (zp, zm) + (a, b) in GF(3), bit for bit
                         t = (zp | b) ^ (zm | a)
                         zp, zm = (zm | b) ^ t, (zp | a) ^ t
-                out.append((((zp, zm), depth), degs))
+                sources.append((zp, zm))
         else:
-            for recipe in self.moves:
-                out.append(((_apply_move(rows, recipe, self.addt, self.mult), depth), degs))
-        return out
+            sources = [_apply_move(rows, recipe, self.addt, self.mult) for recipe in self.moves]
+        return self._edges(sources, sum(degs) + 1)
 
-    def to_matrix(self, node) -> LaurentMatrix:
-        """The representative carried by node."""
-        rows, _ = node
+    def walk(self, root, limit):
+        """Depth first from ``root``, in ``continuation_moves`` order:
+        yields (depth, edge, its successors) for every edge of depth
+        < limit, so an edge at depth ``limit`` is seen only as a successor.
+        As with ``os.walk``, the walk goes on below the successors left in
+        the yielded list, so a consumer prunes by editing it in place."""
+        stack = [root] if sum(root[2]) <= limit else []
+        while stack:
+            edge = stack.pop()
+            succs = self.successors(edge)
+            depth = sum(edge[2]) - 1
+            yield depth, edge, succs
+            if depth + 1 < limit:
+                stack += reversed(succs)
+
+    def to_matrix(self, rows) -> LaurentMatrix:
+        """The representative held in rows (an edge's P or R)."""
         if self.packed or self.sliced:
             p, m = (rows, 0) if self.packed else rows
             w = self.fmt.width
@@ -936,53 +952,35 @@ class _Walker:
             [[{e: c for e, c in enumerate(ent) if c} for ent in row] for row in rows],
         )
 
-    def edge(self, degs, child_degs) -> shift_mod.QuotientEdge:
-        """Quotient edge from the row degrees of a node and its children."""
-        return _sector_edge(_pair_from_degs(degs, self.dim), _pair_from_degs(child_degs, self.dim))
-
-    def classify(self, node, degs) -> shift_mod.QuotientEdge:
-        """Quotient edge of the building edge carried by node (dim 3)."""
-        return self.edge(degs, self.straight(node)[1])
+    def quotient(self, src_degs, degs) -> shift_mod.QuotientEdge:
+        """Quotient edge of an edge whose source and target have the row
+        degrees src_degs and degs (dim 3)."""
+        return _sector_edge(_pair_from_degs(src_degs, self.dim), _pair_from_degs(degs, self.dim))
 
 
-def _count_run(field: FiniteField, dim: int, n: int, prefix=()) -> tuple[int, int]:
-    """(closed, first-return) counts over all continuation words of
-    length n extending ``prefix``: closed counts words whose terminal
-    source invariant is the origin, first-return additionally forbids
-    interior visits."""
+def _count_run(field: FiniteField, dim: int, n: int, first=None) -> tuple[int, int]:
+    """(closed, first-return) counts over the continuation words of
+    length n, or over those whose first move is ``first``: closed counts
+    the words that end at the origin, first-return also forbids interior
+    visits.  A word ends at the target of the edge of its first n - 1
+    moves, so each edge at depth n - 1 whose target is the origin counts
+    q^2 words, and the walk reduces only the edges of depth < n.  (At
+    n = 1 that edge is the base edge, whose target has type 1, not the
+    origin's 0: the walk expands nothing and counts 0.)"""
     wk = _Walker(field, dim, n)
-    node, degs = wk.start()
-    interior = False
-    for depth, j in enumerate(prefix, 1):
-        node, degs = wk.children(node)[j]
-        if depth < n and max(degs) == min(degs):
-            interior = True
-    if len(prefix) == n:
-        at_origin = max(degs) == min(degs)
-        return (1 if at_origin else 0, 1 if at_origin and not interior else 0)
-
-    g_total = 0
-    f_total = 0
-    children, straight, width = wk.children, wk.straight, len(wk.moves)
-
-    def rec(node, depth, interior):
-        # node lies at depth < n; its children share the straight child's
-        # row degrees, so the last level is tallied from that one reduction
-        nonlocal g_total, f_total
-        depth += 1
-        if depth == n:
-            _, d = straight(node)
-            if max(d) == min(d):
-                g_total += width
-                if not interior:
-                    f_total += width
-            return
-        kids = children(node)
-        interior = interior or max(kids[0][1]) == min(kids[0][1])
-        for nn, _ in kids:
-            rec(nn, depth, interior)
-
-    rec(node, len(prefix), interior)
+    width, last = len(wk.moves), n - 1
+    seen = [False] * (n + 1)  # seen[k]: the word's vertex at some depth 1 .. k is the origin
+    g_total = f_total = 0
+    for depth, (_, _, degs), succs in wk.walk(wk.start(), last):
+        if not depth and first is not None:
+            succs[:] = succs[first : first + 1]
+        seen[depth + 1] = interior = seen[depth] or max(degs) == min(degs)
+        if depth + 1 == last:
+            for _, _, d in succs:
+                if max(d) == min(d):
+                    g_total += width
+                    if not interior:
+                        f_total += width
     return g_total, f_total
 
 
@@ -1001,9 +999,9 @@ def _field_for(q: int, field: FiniteField | None) -> FiniteField:
 
 
 def _count_worker(args):
-    q, irreducible, dim, n, prefix = args
+    q, irreducible, dim, n, first = args
     field = FiniteField(q, irreducible)
-    return _count_run(field, dim, n, prefix)
+    return _count_run(field, dim, n, first)
 
 
 class OraclePool:
@@ -1056,7 +1054,7 @@ def oracle_g_f(
     if leaves > max_leaves:
         raise BudgetExceededError(leaves, max_leaves)
     if threads > 1 and n >= 2:
-        tasks = [(q, field.irreducible, dim, n, (j,)) for j in range(oracle_leaves(q, 1, dim))]
+        tasks = [(q, field.irreducible, dim, n, j) for j in range(oracle_leaves(q, 1, dim))]
         with contextlib.nullcontext(pool) if pool else OraclePool(threads, len(tasks)) as p:
             counts = list(p.map(_count_worker, tasks))
         return sum(g for g, _ in counts), sum(f for _, f in counts)
@@ -1088,18 +1086,15 @@ def oracle_terminal_profile(
     leaves = oracle_leaves(q, n)
     if leaves > max_leaves:
         raise BudgetExceededError(leaves, max_leaves)
-    wk = _Walker(field, 3, n + 1)  # classify steps once past the leaves
+    wk = _Walker(field, 3, n + 1)  # a word's edge points one step past it
+    root = wk.start()
+    if n == 0:
+        return {wk.quotient([0] * 3, root[2]): 1}
     out: Counter = Counter()
-
-    def rec(node, degs, depth):
-        if depth == n:
-            out[wk.classify(node, degs)] += 1
-            return
-        for nn, nd in wk.children(node):
-            rec(nn, nd, depth + 1)
-
-    node, degs = wk.start()
-    rec(node, degs, 0)
+    for depth, (_, _, degs), succs in wk.walk(root, n):
+        if depth == n - 1:
+            for _, _, d in succs:
+                out[wk.quotient(degs, d)] += 1
     return dict(out)
 
 
@@ -1118,11 +1113,11 @@ def oracle_transition_census(
     field = _field_for(q, field)
     # Each breadth-first level expands at least one new edge with m <= m_max,
     # so an expanded lift lies at depth < E, the number of such edges; its
-    # children lie at depth <= E, and classifying them steps once more.
+    # successors lie at depth <= E, and their targets one step further.
     wk = _Walker(field, 3, len(shift_mod.all_valid_edges(m_max)) + 1)
-    node, degs = wk.start()
-    start = wk.classify(node, degs)
-    lifts = {start: node}
+    base = wk.start()
+    start = wk.quotient([0] * 3, base[2])
+    lifts = {start: base}
     census: dict[shift_mod.QuotientEdge, dict[shift_mod.QuotientEdge, int]] = {}
     frontier = [start]
     while frontier:
@@ -1130,18 +1125,18 @@ def oracle_transition_census(
         for qe in frontier:
             if max(qe.source.m, qe.target.m) > m_max:
                 continue
-            node = lifts[qe]
+            edge = lifts[qe]
             succs: Counter = Counter()
-            for nn, nd in wk.children(node):
-                child_qe = wk.classify(nn, nd)
-                succs[child_qe] += 1
-                if child_qe not in lifts:
-                    lifts[child_qe] = nn
-                    nxt.append(child_qe)
+            for succ in wk.successors(edge):
+                succ_qe = wk.quotient(edge[2], succ[2])
+                succs[succ_qe] += 1
+                if succ_qe not in lifts:
+                    lifts[succ_qe] = succ
+                    nxt.append(succ_qe)
             census[qe] = dict(succs)
         frontier = nxt
     if with_lifts:
-        return census, {qe: wk.to_matrix(node) for qe, node in lifts.items()}
+        return census, {qe: wk.to_matrix(edge[0]) for qe, edge in lifts.items()}
     return census
 
 
@@ -1165,32 +1160,31 @@ def oracle_prefix_mismatches(
     """Check the Markov property of the measured transitions.
 
     Enumerates every continuation word up to ``max_len`` and compares
-    the successor multiset observed at that node against the first
+    the successor multiset observed at its edge against the first
     observation for the same quotient edge; returns human-readable
     mismatch descriptions (empty means the property holds).
     """
     field = _field_for(q, field)
-    wk = _Walker(field, 3, max_len + 2)  # words of max_len, their children classified
+    wk = _Walker(field, 3, max_len + 2)  # words of max_len, their successors' targets
     reference: dict = {}
     mismatches: list[str] = []
-
-    def rec(node, degs, word):
-        children = wk.children(node)
-        qe = wk.edge(degs, children[0][1])
-        succs = Counter(wk.classify(nn, nd) for nn, nd in children)
+    # the depth-k edge on the path to the edge walked last (the walk is
+    # depth first) has the source degrees src[k] and the last move move[k]
+    src, move = [[0] * 3] * (max_len + 2), [-1] * (max_len + 2)
+    for depth, (_, _, degs), succs in wk.walk(wk.start(), max_len + 1):
+        move[depth] += 1
+        move[depth + 1] = -1
+        qe = wk.quotient(src[depth], degs)
+        src[depth + 1] = degs
+        seen = Counter(wk.quotient(degs, d) for _, _, d in succs)
         if qe in reference:
-            if reference[qe] != succs:
+            if reference[qe] != seen:
                 mismatches.append(
-                    f"word {word}: edge {qe.pretty()} saw {dict(succs)} vs {dict(reference[qe])}"
+                    f"word {tuple(move[1 : depth + 1])}: edge {qe.pretty()} saw {dict(seen)}"
+                    f" vs {dict(reference[qe])}"
                 )
         else:
-            reference[qe] = succs
-        if len(word) < max_len:
-            for j, (nn, nd) in enumerate(children):
-                rec(nn, nd, word + (j,))
-
-    node, degs = wk.start()
-    rec(node, degs, ())
+            reference[qe] = seen
     return mismatches
 
 

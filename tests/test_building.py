@@ -308,9 +308,10 @@ def test_oracle_counts_examples():
 
 def test_oracle_matches_dp_small():
     for q in (2, 3):
-        g, f = building.oracle_g_f(q, 3)
-        assert g == shift.dp_g(q, 3)
-        assert f == shift.dp_f(q, 3)
+        for n in (1, 2, 3):
+            g, f = building.oracle_g_f(q, n)
+            assert g == shift.dp_g(q, n)
+            assert f == shift.dp_f(q, n)
 
 
 def test_oracle_budget_refusal():
@@ -368,31 +369,38 @@ class _InProcessPool:
 
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 2)])
 def test_oracle_threads_merge_sliced_and_table(q, n, monkeypatch):
-    """The subtrees under prefix (j,), one per child of the origin in
-    ``continuation_moves`` order, add up to the serial walk."""
+    """The subtrees under first move j, one per continuation of the base
+    edge in ``continuation_moves`` order, add up to the serial walk."""
     import concurrent.futures
 
-    prefixes = []
+    firsts = []
     count_run = building._count_run
 
-    def recording(field, dim, n, prefix=()):
-        prefixes.append(prefix)
-        return count_run(field, dim, n, prefix)
+    def recording(field, dim, n, first=None):
+        firsts.append(first)
+        return count_run(field, dim, n, first)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(building, "_count_run", recording)
     split = building.oracle_g_f(q, n, threads=2)
-    assert prefixes == [(j,) for j in range(q * q)]
+    assert firsts == list(range(q * q))
     assert split == building.oracle_g_f(q, n)
 
 
 @pytest.mark.parametrize(
-    "q,n,reducer", [(2, 6, "_reduce_gf2"), (3, 4, "_reduce_gf3"), (4, 3, "_reduce_rows")]
+    "q,n,reducer,m_max",
+    [
+        pytest.param(2, 6, "_reduce_gf2", 5, id="2-6-_reduce_gf2"),
+        pytest.param(3, 4, "_reduce_gf3", 5, id="3-4-_reduce_gf3"),
+        pytest.param(4, 3, "_reduce_rows", 3, id="4-3-_reduce_rows"),
+    ],
 )
-def test_oracle_reduces_each_node_once(q, n, reducer, monkeypatch):
-    """A depth-n walk reduces once per node above its leaves: the
-    straight child of each of its sum_{k=0..n-1} q^(2k) nodes at depth
-    < n, whose q^2 children are that one reduced vertex."""
+def test_oracle_reduces_each_node_once(q, n, reducer, m_max, monkeypatch):
+    """Every consumer reduces once per edge it visits, the target of
+    each.  The depth-n count visits the sum_{k<n} q^(2k) edges of depth
+    < n; the depth-n terminal profile those of depth <= n; the prefix
+    sweep to max_len those of depth <= max_len + 1; the census the base
+    edge and the q^2 continuations of each edge it tabulates."""
     calls = []
     reduce = getattr(building, reducer)
 
@@ -400,15 +408,28 @@ def test_oracle_reduces_each_node_once(q, n, reducer, monkeypatch):
         calls.append(None)
         return reduce(*args)
 
+    def edges(depth):
+        return sum(q ** (2 * k) for k in range(depth + 1))
+
     monkeypatch.setattr(building, reducer, counting)
     building.oracle_g_f(q, n)
-    assert len(calls) == sum(q ** (2 * k) for k in range(n))
+    assert len(calls) == edges(n - 1)
+    calls.clear()
+    building.oracle_terminal_profile(q, n)
+    assert len(calls) == edges(n)
+    calls.clear()
+    assert building.oracle_prefix_mismatches(q, n - 2) == []
+    assert len(calls) == edges(n - 1)
+    calls.clear()
+    census = building.oracle_transition_census(q, m_max)
+    assert len(calls) == 1 + q * q * len(census) == {2: 181, 3: 406, 4: 289}[q]
 
 
 def test_prefix_sweep_reduction_count(monkeypatch):
-    """The prefix sweep at (3, 2) expands 91 nodes; each reduces its
-    straight child once and classifies its 9 children once: 910
-    reductions, a node's own edge read off its children's degrees."""
+    """The prefix sweep at (3, 2) visits the 820 edges of depth <= 3:
+    it expands the 91 of depth <= 2 and reads each one's quotient edge
+    and those of its 9 continuations off their targets' degrees, one
+    reduction per edge."""
     calls = []
     reduce = building._reduce_gf3
 
@@ -418,7 +439,7 @@ def test_prefix_sweep_reduction_count(monkeypatch):
 
     monkeypatch.setattr(building, "_reduce_gf3", counting)
     assert building.oracle_prefix_mismatches(3, 2) == []
-    assert len(calls) == 910
+    assert len(calls) == 820 == sum(9**k for k in range(4))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -462,9 +483,11 @@ def test_oracle_pool_clamped_to_cpu_count(monkeypatch):
     assert sizes == [1]
 
 
-def test_oracle_terminal_profile_matches_dp():
-    prof = building.oracle_terminal_profile(2, 3)
-    assert prof == shift.dp_profiles(2, 3)[3]
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_oracle_terminal_profile_matches_dp(n, q):
+    prof = building.oracle_terminal_profile(q, n)
+    assert prof == shift.dp_profiles(q, n)[n]
 
 
 def test_census_examples():
@@ -502,27 +525,42 @@ def test_census_lifts_decode_to_their_edges():
 
 
 def _walk_against_table_path(wk, max_depth):
-    """Hold wk's rows, decoded, against the rows and degrees the
-    unmemoised table path gives at every node of every word."""
+    """Hold every edge wk walks to targets at depth max_depth against
+    the unmemoised table path, in ``continuation_moves`` order: its
+    source against the table's reduced vertex, its target and the
+    target's row degrees against the table's reduction of source * a,
+    and the row degrees the table's reduced continuations share against
+    its target's.  Table-path rows are compared as they are, packed and
+    sliced rows decoded."""
     field, dim = wk.field, wk.dim
-    table_recipes = building._move_col_recipes(field, dim)
+    moves = [building.std_step(field, dim), *continuation_moves(field, dim)]
+    [step, *table_recipes] = building._col_recipes(moves)
     negt = [field.neg(a) for a in range(field.q)]
     tables = (field.mul_table, field.add_table, negt, field.inv_table)
 
     def dense(rows):
         return LaurentMatrix(field, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
 
-    def rec(node, rows, depth):
-        assert wk.to_matrix(node) == dense(rows)
-        if depth == max_depth:
-            return
-        for (nn, nd), recipe in zip(wk.children(node), table_recipes, strict=True):
-            nr = building._apply_move(rows, recipe, field.add_table, field.mul_table)
-            assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
-            rec(nn, nr, depth + 1)
+    def check(held, rows):
+        if wk.packed or wk.sliced:
+            assert wk.to_matrix(held) == dense(rows)
+        else:
+            assert held == rows
 
-    node, _ = wk.start()
-    rec(node, [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
+    def rec(edge, rows, depth):
+        src, tgt, degs = edge
+        check(src, rows)
+        target = building._apply_move(rows, step, field.add_table, field.mul_table)
+        assert degs == building._reduce_rows(target, dim, depth + 1, *tables)
+        check(tgt, target)
+        if depth + 2 > max_depth:
+            return
+        for succ, recipe in zip(wk.successors(edge), table_recipes, strict=True):
+            nr = building._apply_move(rows, recipe, field.add_table, field.mul_table)
+            assert degs == building._reduce_rows(nr, dim, depth + 1, *tables)
+            rec(succ, nr, depth + 1)
+
+    rec(wk.start(), [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
 
 
 @pytest.mark.parametrize(
@@ -548,25 +586,11 @@ def test_packed_walk_matches_table_path(dim, max_depth, bound):
 @pytest.mark.parametrize("q,dim,max_depth", [(5, 3, 3), (4, 2, 6), (4, 3, 3), (5, 3, 2)])
 def test_memo_walk_matches_unmemoised_reducer(q, dim, max_depth):
     """The general-field walker, which reuses one reduction plan per
-    leading-coefficient matrix, has at every node of every word the rows
+    leading-coefficient matrix, has at every edge of every word the rows
     and degrees the reducer gives when it solves every round afresh."""
-    field = FiniteField(q)
-    wk = building._Walker(field, dim, max_depth)
+    wk = building._Walker(FiniteField(q), dim, max_depth)
     assert not wk.packed and not wk.sliced
-    tables = (field.mul_table, field.add_table, wk.negt, field.inv_table)
-    recipes = building._move_col_recipes(field, dim)
-
-    def rec(node, rows, depth):
-        assert node[0] == rows
-        if depth == max_depth:
-            return
-        for (nn, nd), recipe in zip(wk.children(node), recipes, strict=True):
-            nr = building._apply_move(rows, recipe, field.add_table, field.mul_table)
-            assert nd == building._reduce_rows(nr, dim, depth + 1, *tables)
-            rec(nn, nr, depth + 1)
-
-    node, _ = wk.start()
-    rec(node, [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
+    _walk_against_table_path(wk, max_depth)
     assert any(plan is not None for plan in wk.plans.values())
 
 
@@ -619,11 +643,11 @@ def _packed(mat, fmt):
 def test_sliced_add_and_double_on_every_pair():
     """A sibling layer whose column 0 is e0 + c e1 gives x + c y in
     slot 0 for every pair of GF(3) elements, on both planes."""
-    # the parent [[x, y t, t], [0, 1, 0], [1, 0, 0]] at depth 1 has the
-    # straight child R = [[x t, y t, t], [0, 1, 0], [t, 0, 0]], already
-    # reduced; X = [[1, 0, 0], [c, 1, 0], [0, 0, 1]] takes R to
-    # [[(x + c y) t, y t, t], [c, 1, 0], [t, 0, 0]]
-    wk = building._Walker(F3, 3, 2)
+    # the edge out of [[x, y t, t], [0, 1, 0], [1, 0, 0]] at depth 1 has
+    # the target R = [[x t, y t, t], [0, 1, 0], [t, 0, 0]], already
+    # reduced; X = [[1, 0, 0], [c, 1, 0], [0, 0, 1]] takes R to the
+    # source [[(x + c y) t, y t, t], [c, 1, 0], [t, 0, 0]]
+    wk = building._Walker(F3, 3, 3)
     for c in (1, 2):
         recipe = (((0, 1, 0), (1, c, 0)), ((1, 1, 0),), ((2, 1, 0),))
         wk.pieces, wk.moves = building._slot_moves([recipe], wk.fmt, 2)
@@ -632,10 +656,13 @@ def test_sliced_add_and_double_on_every_pair():
                 want = F3.add_table[x][F3.mul_table[c][y]]
                 yt = {1: y} if y else {}
                 parent = [[{0: x} if x else {}, yt, {1: 1}], [{}, {0: 1}, {}], [{0: 1}, {}, {}]]
-                [((mat, _), degs)] = wk.children((_sliced(parent, wk.fmt), 1))
+                [edge] = wk._edges([_sliced(parent, wk.fmt)], 2)
+                target = [[{1: x} if x else {}, yt, {1: 1}], [{}, {0: 1}, {}], [{1: 1}, {}, {}]]
+                assert edge[1] == _sliced(target, wk.fmt)
+                assert edge[2] == [1, 0, 1]
+                [(mat, _, _)] = wk.successors(edge)
                 row0 = [{1: want} if want else {}, yt, {1: 1}]
                 assert mat == _sliced([row0, [{0: c}, {0: 1}, {}], [{1: 1}, {}, {}]], wk.fmt)
-                assert degs == [1, 0, 1]
 
 
 @pytest.mark.parametrize("dim,max_depth", [(3, 4), (2, 6)])
@@ -695,13 +722,13 @@ def test_sliced_walk_refuses_a_depth_past_its_slots():
     fourth step rather than spill it into the next slot."""
     wk = building._Walker(F3, 3, 3)
     assert wk.fmt.width == 4
-    node, degs = wk.start()
-    for _ in range(3):
-        node, degs = wk.straight(node)
-    assert wk.to_matrix(node) == LaurentMatrix.diag_powers(F3, [3, 0, 0])
-    assert degs == [3, 0, 0]
+    edge = wk.start()
+    for _ in range(2):
+        edge = wk.successors(edge)[0]
+    assert wk.to_matrix(edge[1]) == LaurentMatrix.diag_powers(F3, [3, 0, 0])
+    assert edge[2] == [3, 0, 0]
     with pytest.raises(InternalConsistencyError, match="overflows"):
-        wk.children(node)
+        wk.successors(edge)
 
 
 def test_packed_walk_refuses_a_depth_past_its_slots():
@@ -709,13 +736,13 @@ def test_packed_walk_refuses_a_depth_past_its_slots():
     fourth step rather than spill it into the next slot."""
     wk = building._Walker(F2, 3, 3)
     assert wk.fmt.width == 4
-    node, degs = wk.start()
-    for _ in range(3):
-        node, degs = wk.straight(node)
-    assert wk.to_matrix(node) == LaurentMatrix.diag_powers(F2, [3, 0, 0])
-    assert degs == [3, 0, 0]
+    edge = wk.start()
+    for _ in range(2):
+        edge = wk.successors(edge)[0]
+    assert wk.to_matrix(edge[1]) == LaurentMatrix.diag_powers(F2, [3, 0, 0])
+    assert edge[2] == [3, 0, 0]
     with pytest.raises(InternalConsistencyError, match="overflows"):
-        wk.children(node)
+        wk.successors(edge)
 
 
 def test_reduction_stops_at_its_bound(monkeypatch):
