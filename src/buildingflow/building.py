@@ -1082,6 +1082,8 @@ def oracle_terminal_profile(
 ) -> dict[shift_mod.QuotientEdge, int]:
     """Distribution of terminal quotient edges over all length-n words
     (dim 3); the building-side mirror of one DP endpoint profile."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     field = _field_for(q, field)
     leaves = oracle_leaves(q, n)
     if leaves > max_leaves:
@@ -1164,6 +1166,8 @@ def oracle_prefix_mismatches(
     observation for the same quotient edge; returns human-readable
     mismatch descriptions (empty means the property holds).
     """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     field = _field_for(q, field)
     wk = _Walker(field, 3, max_len + 2)  # words of max_len, their successors' targets
     reference: dict = {}

@@ -345,6 +345,22 @@ def test_oracle_refuses_a_field_of_another_size(call):
         call(FiniteField(2))
 
 
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: building.oracle_g_f(2, 0), "n must be >= 1"),
+        (lambda: building.oracle_terminal_profile(2, -1), "n must be >= 0"),
+        (lambda: building.oracle_prefix_mismatches(2, -1), "max_len must be >= 0"),
+        (lambda: building.oracle_transition_census(2, 1), "m_max must be >= 2"),
+    ],
+    ids=["g_f", "terminal", "prefix", "census"],
+)
+def test_oracle_refuses_a_length_below_its_walk(call, match):
+    # a walk that expands nothing must not read as an empty profile or a pass
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_oracle_accepts_its_own_field():
     assert building.oracle_g_f(2, 3, field=FiniteField(2)) == (24, 24)
 
