@@ -18,19 +18,16 @@ recomputes the same exponents by the independent section-dimension
 route and the test suite holds the two against each other.
 
 An edge of the walk is its source P and its reduced target R =
-reduce(P a) with R's row degrees (formats in ``_Walker``), so the
-quotient edge under it is read off two degree lists, and each of its
-q^2 continuations costs the one reduction of its own target.  One
-depth-first driver, ``_Walker.walk``, serves the counting walk, the
-terminal profile and the prefix sweep; the census expands its
-breadth-first lifts with the same ``_Walker.successors``.  Each reduces
-once per edge it visits: sum_{k<n} q^(2k) times for a depth-n count,
-sum_{k<=n} for the depth-n terminal profile, sum_{k<=max_len+1} for the
-prefix sweep and 1 + q^2 E for a census of E quotient edges.  The
-packed (q = 2), sliced (q = 3) and table paths, with or without the
-memo of reduction plans, take the null vector and pivot row a fresh
-``_left_null_vector`` solve would, so they give the same
-representatives.
+reduce(P a) with R's row degrees (formats in ``_Walker``), so its
+quotient edge is read off two degree lists, and each of its q^2
+continuations costs one reduction, of its own target.  ``_Walker.walk``
+drives the count, the terminal profile and the prefix sweep depth
+first, and the census expands breadth first by ``_Walker.successors``;
+each reduces once per edge it visits: sum_{k<n} q^(2k) times for a
+depth-n count, sum_{k<=n} for the depth-n terminal profile,
+sum_{k<=max_len+1} for the prefix sweep and 1 + q^2 E for a census of
+E quotient edges.  The packed (q = 2), sliced (q = 3) and table paths,
+memoised or not, give the same representatives (see ``_reduce_rows``).
 """
 
 from __future__ import annotations
@@ -960,18 +957,20 @@ class _Walker:
 
 def _count_run(field: FiniteField, dim: int, n: int, first=None) -> tuple[int, int]:
     """(closed, first-return) counts over the continuation words of
-    length n, or over those whose first move is ``first``: closed counts
-    the words that end at the origin, first-return also forbids interior
-    visits.  A word ends at the target of the edge of its first n - 1
-    moves, so each edge at depth n - 1 whose target is the origin counts
-    q^2 words, and the walk reduces only the edges of depth < n.  (At
-    n = 1 that edge is the base edge, whose target has type 1, not the
-    origin's 0: the walk expands nothing and counts 0.)"""
+    length n, or, for n >= 2, over those whose first move is ``first``:
+    closed counts the words that end at the origin, first-return also
+    forbids interior visits.  A word ends at the target of the edge of
+    its first n - 1 moves, so each edge at depth n - 1 whose target is
+    the origin counts q^2 words, and the walk reduces only the edges of
+    depth < n."""
     wk = _Walker(field, dim, n)
     width, last = len(wk.moves), n - 1
+    root = wk.start()
+    if n == 1:  # the words end at the base edge's target
+        return (width, width) if max(root[2]) == min(root[2]) else (0, 0)
     seen = [False] * (n + 1)  # seen[k]: the word's vertex at some depth 1 .. k is the origin
     g_total = f_total = 0
-    for depth, (_, _, degs), succs in wk.walk(wk.start(), last):
+    for depth, (_, _, degs), succs in wk.walk(root, last):
         if not depth and first is not None:
             succs[:] = succs[first : first + 1]
         seen[depth + 1] = interior = seen[depth] or max(degs) == min(degs)
