@@ -776,7 +776,7 @@ class _Walker:
     """Shared state for walking type-1 edges by continuation words.
 
     An edge is (P, R, degs): P a row-reduced representative of the
-    source vertex a word reaches, R = reduce(P a) one of its target, and
+    source vertex a word reaches, R = reduce(P a) one of the target, and
     degs R's row degrees.  A word of length k gives det P t-degree k,
     since every move's det has degree 1, so the edge's depth k is
     sum(degs) - 1.  Only the walker reads P and R:
