@@ -18,6 +18,7 @@ arbitrary precision).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable
 
 from .errors import UnsupportedFieldError
@@ -79,20 +80,8 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     e = len(coeffs) - 1
     for d in range(1, e // 2 + 1):
         for code in range(p**d):
-            div = []
-            m = code
-            for _ in range(d):
-                div.append(m % p)
-                m //= p
-            div.append(1)
-            # long division remainder of coeffs by div
-            rem = list(coeffs)
-            for i in range(len(rem) - 1, d - 1, -1):
-                top = rem[i] % p
-                if top:
-                    for j in range(d + 1):
-                        rem[i - d + j] = (rem[i - d + j] - top * div[j]) % p
-            if all(x % p == 0 for x in rem[:d]):
+            div = [code // p**i % p for i in range(d)] + [1]
+            if not any(_poly_mod_reduce(coeffs, div, p)):
                 return False
     return True
 
@@ -159,23 +148,31 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
+        if self._mul_table:
+            return self._add_table[a][b]
         da, db = self._decode(a), self._decode(b)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
 
     def sub(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a - b) % self.p
+        if self._mul_table:
+            return self._add_table[a][self._mul_table[self.p - 1][b]]
         da, db = self._decode(a), self._decode(b)
         return self._encode([(x - y) % self.p for x, y in zip(da, db)])
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
+        if self._mul_table:
+            return self._mul_table[self.p - 1][a]
         return self._encode([(-x) % self.p for x in self._decode(a)])
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
+        if self._mul_table:
+            return self._mul_table[a][b]
         if a == 0 or b == 0:
             return 0
         da, db = self._decode(a), self._decode(b)
@@ -191,6 +188,8 @@ class FiniteField:
             raise ValueError("zero has no multiplicative inverse")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
+        if self._mul_table:
+            return self._inv_table[a]
         # a^(q-2) via square-and-multiply
         return self.pow(a, self.q - 2)
 
@@ -214,31 +213,27 @@ class FiniteField:
 
     # -- lookup tables (hot loops index these directly) -------------------
 
-    @property
-    def add_table(self) -> list[list[int]]:
-        if self._add_table is None:
-            if self.q > _TABLE_LIMIT:
-                raise UnsupportedFieldError(f"tables unavailable for q={self.q}")
-            self._add_table = [
-                [self.add(a, b) for b in range(self.q)] for a in range(self.q)
-            ]
-        return self._add_table
-
-    @property
-    def mul_table(self) -> list[list[int]]:
+    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The add and mul tables, built with the inverses from the
+        arithmetic above on first use; from then on the element ops of a
+        prime-power field read them (the ops of a prime field are faster
+        as they are)."""
         if self._mul_table is None:
             if self.q > _TABLE_LIMIT:
                 raise UnsupportedFieldError(f"tables unavailable for q={self.q}")
-            self._mul_table = [
-                [self.mul(a, b) for b in range(self.q)] for a in range(self.q)
-            ]
-        return self._mul_table
+            els = self.elements()
+            self._add_table = [[self.add(a, b) for b in els] for a in els]
+            self._inv_table = [0] + [self.inv(a) for a in self.units()]
+            self._mul_table = [[self.mul(a, b) for b in els] for a in els]
+        return self._add_table, self._mul_table
 
-    @property
-    def inv_table(self) -> list[int]:
-        if self._inv_table is None:
-            self._inv_table = [0] + [self.inv(a) for a in range(1, self.q)]
-        return self._inv_table
+    @cached_property
+    def add_table(self) -> list[list[int]]:
+        return self._tables()[0]
+
+    @cached_property
+    def mul_table(self) -> list[list[int]]:
+        return self._tables()[1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -520,13 +515,15 @@ def _echelon(field: FiniteField, rows: list[list[int]], ncols: int) -> tuple[lis
         for i in range(m):
             if i != rank and work[i][col]:
                 c = work[i][col]
-                work[i] = [sub(a, mul(c, b)) for a, b in zip(work[i], pr)]
+                work[i] = [sub(a, mul(c, b)) if b else a for a, b in zip(work[i], pr)]
         pivots.append(col)
     return work, pivots
 
 
 def kernel_basis(field: FiniteField, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """A basis of the right null space, for verification in tests."""
+    """A basis of the right null space: per free column of the reduced
+    rows, in column order, the vector with 1 there and 0 at the other
+    free columns.  The oracle's reduction plans take the first one."""
     work, pivots = _echelon(field, rows, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):

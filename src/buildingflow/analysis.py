@@ -132,7 +132,7 @@ class SprReport:
     note: str = field(default=GROWTH_NOTE)
 
 
-def spr_report(q: int, verify_ratios: bool = True) -> SprReport:
+def spr_report(q: int) -> SprReport:
     """Entropy, first-return growth, and the recurrence margin for q.
 
     The entropy 2 log q is certified by the exact DP ratio test
@@ -142,14 +142,11 @@ def spr_report(q: int, verify_ratios: bool = True) -> SprReport:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    if verify_ratios:
-        profs = enumerate(shift.dp_sweep(q, 9))
-        gs = [p.get(shift.BASE_KEY, 0) for s, p in profs if s in (3, 6, 9)]
-        for a, b in zip(gs, gs[1:]):
-            if b != a * q**6:
-                raise InternalConsistencyError(
-                    f"DP ratio test failed at q={q}: {b} != {a} * q^6"
-                )
+    profs = enumerate(shift.dp_sweep(q, 9))
+    gs = [p.get(shift.BASE_KEY, 0) for s, p in profs if s in (3, 6, 9)]
+    for a, b in zip(gs, gs[1:]):
+        if b != a * q**6:
+            raise InternalConsistencyError(f"DP ratio test failed at q={q}: {b} != {a} * q^6")
     h = 2.0 * math.log(q)
     growth = math.log(q) + math.log(q * q + q - 1) / 3.0
     margin = math.log(q**3 / (q * q + q - 1)) / 3.0

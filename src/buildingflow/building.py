@@ -15,7 +15,11 @@ moves u listed in ``continuation_moves``, so a word in the moves names
 an edge.  Invariants along a walk are read off row-reduced forms; the
 reduced row degrees are the Birkhoff exponents.  ``birkhoff_invariant``
 recomputes the same exponents by the independent section-dimension
-route and the test suite holds the two against each other.
+route and the test suite holds the two against each other.  Both do
+their F_q linear algebra in ``algebra``: the section route counts kernel
+dimensions, and a reduction step's null vector is the first
+``kernel_basis`` vector of the transposed leading-coefficient matrix
+(``_reduction_plan``).
 
 An edge of the walk is its source P and its reduced target R =
 reduce(P a) with R's row degrees (formats in ``_Walker``), so its
@@ -41,6 +45,7 @@ from .algebra import (
     FiniteField,
     LaurentMatrix,
     laurent_deg,
+    kernel_basis,
     kernel_dim,
 )
 from .errors import BudgetExceededError, InternalConsistencyError
@@ -130,7 +135,6 @@ def divisor_profile(u: VertexClass, w: VertexClass) -> tuple[int, ...]:
     smallest entry 0, and is invariant under unit multiplication on
     either side and under scalars.
     """
-    f = u.field
     _, adj_u = u.rep.det_adj()
     h = adj_u @ w.rep
     dim = u.dim
@@ -335,10 +339,7 @@ def birkhoff_invariant(v: VertexClass, degree_margin: int = 0):
             raise InternalConsistencyError(
                 f"d({kk}) = {dd} does not match exponents {breakpoints}"
             )
-    a = sorted(breakpoints, reverse=True)
-    if dim == 3:
-        return (a[0] - a[2], a[1] - a[2])
-    return a[0] - a[1]
+    return _pair_from_degs(breakpoints, dim)
 
 
 def quotient_edge_of(e: BDirectedEdge) -> shift_mod.QuotientEdge:
@@ -417,7 +418,8 @@ def _col_recipes(mats):
 # ---------------------------------------------------------------------------
 
 
-def _apply_move(rows, recipe, addt, mult):
+def _apply_move(rows, recipe, field: FiniteField):
+    addt, mult = field.add_table, field.mul_table
     out = []
     for row in rows:
         new_row = []
@@ -453,44 +455,6 @@ def _apply_move(rows, recipe, addt, mult):
     return out
 
 
-def _left_null_vector(lc, dim, mult, addt, negt, invt):
-    """A nonzero c with c . lc = 0, or None when lc is invertible; lc is
-    the dim x dim matrix read row by row."""
-    work = [[lc[i * dim + j] for i in range(dim)] for j in range(dim)]  # transpose
-    pivots: list[int] = []
-    rank = 0
-    for col in range(dim):
-        piv = -1
-        for r in range(rank, dim):
-            if work[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pr = work[rank]
-        pinv = invt[pr[col]]
-        if pinv != 1:
-            mrow = mult[pinv]
-            pr = [mrow[x] for x in pr]
-            work[rank] = pr
-        for r in range(dim):
-            if r != rank and work[r][col]:
-                mrow = mult[work[r][col]]
-                wr = work[r]
-                work[r] = [addt[a][negt[mrow[b]]] for a, b in zip(wr, pr)]
-        pivots.append(col)
-        rank += 1
-    if rank == dim:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    vec = [0] * dim
-    vec[free] = 1
-    for r, pc in enumerate(pivots):
-        vec[pc] = negt[work[r][free]]
-    return vec
-
-
 def _finish_reduction(degs, detdeg):
     """Return degs once the leading-coefficient matrix is invertible,
     after checking that the reduced degree sum equals deg det."""
@@ -501,17 +465,18 @@ def _finish_reduction(degs, detdeg):
     return degs
 
 
-def _reduction_plan(key, dim, mult, addt, negt, invt):
+def _reduction_plan(key, dim, field: FiniteField):
     """None when the flattened leading-coefficient matrix ``key`` is
-    invertible, else the support of the null vector ``_left_null_vector``
-    picks, each index paired with the ``mul_table`` row of its entry."""
-    c = _left_null_vector(key, dim, mult, addt, negt, invt)
-    if c is None:
+    invertible, else the support of a nonzero c with c . key = 0, as
+    (index, entry) pairs: the first ``kernel_basis`` vector of key's
+    transpose."""
+    basis = kernel_basis(field, [key[j::dim] for j in range(dim)], dim)
+    if not basis:
         return None
-    return tuple((i, mult[ci]) for i, ci in enumerate(c) if ci)
+    return tuple((i, c) for i, c in enumerate(basis[0]) if c)
 
 
-def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt, plans=None):
+def _reduce_rows(rows, detdeg, field: FiniteField, plans=None):
     """Row-reduce in place over the polynomial ring; returns row degrees.
 
     ``detdeg`` is the t-degree of det(rows).  Each step lowers the
@@ -525,18 +490,20 @@ def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt, plans=None):
     round solves afresh.  Either way the steps, and so the rows, are
     the same.
     """
+    dim = len(rows)
+    addt, mult = field.add_table, field.mul_table
     degs = [max(map(len, row)) - 1 for row in rows]
     if min(degs) < 0:
         raise InternalConsistencyError("zero row in a vertex representative")
     for _ in range(sum(degs) - detdeg + 1):
         key = tuple([e[d] if len(e) > d else 0 for row, d in zip(rows, degs) for e in row])
         if plans is None:
-            plan = _reduction_plan(key, dim, mult, addt, negt, invt)
+            plan = _reduction_plan(key, dim, field)
         else:
             try:
                 plan = plans[key]
             except KeyError:
-                plan = plans[key] = _reduction_plan(key, dim, mult, addt, negt, invt)
+                plan = plans[key] = _reduction_plan(key, dim, field)
         if plan is None:
             return _finish_reduction(degs, detdeg)
         i_star = plan[0][0]
@@ -544,7 +511,7 @@ def _reduce_rows(rows, dim, detdeg, mult, addt, negt, invt, plans=None):
             if degs[i] > degs[i_star]:
                 i_star = i
         d_star = degs[i_star]
-        terms = [(rows[i], d_star - degs[i], mrow) for i, mrow in plan]
+        terms = [(rows[i], d_star - degs[i], mult[c]) for i, c in plan]
         new_row = []
         for j in range(dim):
             acc: list[int] = []
@@ -592,8 +559,7 @@ class _SlotFormat:
         self.offs = tuple(range(0, dim * rb, rb))
         self.row_masks = [((1 << rb) - 1) << off for off in self.offs]
         self.col0 = sum(self.slot << off for off in self.offs)  # slot 0 of every row
-        negt = [field.neg(a) for a in range(field.q)]
-        self.tables = (field.mul_table, field.add_table, negt, field.inv_table)
+        self.field = field
 
     def plan(self, key: int):
         """``_reduction_plan`` of a packed leading-coefficient pattern: the
@@ -601,10 +567,10 @@ class _SlotFormat:
         is 2, or None when the pattern is invertible."""
         dim, w = self.dim, self.width
         lc = [key >> (i * self.row_bits + j * w) & 3 for i in range(dim) for j in range(dim)]
-        c = _left_null_vector(lc, dim, *self.tables)
-        if c is None:
+        plan = _reduction_plan(lc, dim, self.field)
+        if plan is None:
             return None
-        return tuple((i, ci == 2) for i, ci in enumerate(c) if ci)
+        return tuple((i, c == 2) for i, c in plan)
 
 
 def _slot_moves(recipes, fmt: _SlotFormat, planes: int):
@@ -794,7 +760,7 @@ class _Walker:
     move, and the walker raises ``InternalConsistencyError`` unless each
     X_j = a^-1 u_j is constant and invertible over F_q.  Then LC(M X_j) =
     LC(M) X_j keeps the row space of LC's transpose, so its RREF, the null
-    vector ``_left_null_vector`` picks and every round's step: so
+    vector ``_reduction_plan`` takes from it and every round's step: so
     reduce(P u_j) = R X_j, with R's row degrees.  Continuation j is the
     edge out of R X_j, and its target costs one reduction; at q = 2 and
     3 each R X_j sums pieces cut from R once.  The quotient edge of a
@@ -833,10 +799,6 @@ class _Walker:
             self.fmt = fmt = _SlotFormat(field, dim, bound + 1)
             self.pieces, self.moves = _slot_moves(mixes, fmt, 1 if self.packed else 2)
         else:
-            self.addt = field.add_table
-            self.mult = field.mul_table
-            self.negt = [field.neg(a) for a in range(field.q)]
-            self.invt = field.inv_table
             [self.step] = _col_recipes([std_step(field, dim)])
             self.moves = mixes
 
@@ -854,10 +816,9 @@ class _Walker:
         sources P, whose targets lie at ``depth``."""
         out = []
         if not (self.packed or self.sliced):
-            tables = (self.mult, self.addt, self.negt, self.invt)
             for rows in sources:
-                mat = _apply_move(rows, self.step, self.addt, self.mult)
-                out.append((rows, mat, _reduce_rows(mat, self.dim, depth, *tables, self.plans)))
+                mat = _apply_move(rows, self.step, self.field)
+                out.append((rows, mat, _reduce_rows(mat, depth, self.field, self.plans)))
             return out
         fmt, plans = self.fmt, self.plans
         if depth > self.bound:
@@ -878,17 +839,19 @@ class _Walker:
                 out.append((src, mat, degs))
         return out
 
-    def successors(self, edge):
+    def successors(self, edge, only=None):
         """The q^2 continuations of edge, in ``continuation_moves`` order:
-        the edges out of R X_j, R the edge's target."""
+        the edges out of R X_j, R the edge's target; with ``only`` = j,
+        continuation j alone."""
         _, rows, degs = edge
+        moves = self.moves if only is None else self.moves[only : only + 1]
         if self.packed:
             cut = [
                 (rows & mask) << sh if sh >= 0 else (rows & mask) >> -sh
                 for mask, sh in self.pieces
             ]
             sources = []
-            for move in self.moves:
+            for move in moves:
                 z = 0
                 for i in move:
                     z ^= cut[i]
@@ -900,7 +863,7 @@ class _Walker:
                 x, y = p & mask, m & mask
                 cut += (x << sh, y << sh) if sh >= 0 else (x >> -sh, y >> -sh)
             sources = []
-            for move in self.moves:
+            for move in moves:
                 zp = None
                 for layer in move:
                     a = b = 0
@@ -914,19 +877,20 @@ class _Walker:
                         zp, zm = (zm | b) ^ t, (zp | a) ^ t
                 sources.append((zp, zm))
         else:
-            sources = [_apply_move(rows, recipe, self.addt, self.mult) for recipe in self.moves]
+            sources = [_apply_move(rows, recipe, self.field) for recipe in moves]
         return self._edges(sources, sum(degs) + 1)
 
-    def walk(self, root, limit):
+    def walk(self, root, limit, only=None):
         """Depth first from ``root``, in ``continuation_moves`` order:
         yields (depth, edge, its successors) for every edge of depth
         < limit, so an edge at depth ``limit`` is seen only as a successor.
-        As with ``os.walk``, the walk goes on below the successors left in
-        the yielded list, so a consumer prunes by editing it in place."""
+        With ``only`` = j the walk goes below root's continuation j alone,
+        the one it builds and reduces."""
         stack = [root] if sum(root[2]) <= limit else []
         while stack:
             edge = stack.pop()
-            succs = self.successors(edge)
+            succs = self.successors(edge, only)
+            only = None
             depth = sum(edge[2]) - 1
             yield depth, edge, succs
             if depth + 1 < limit:
@@ -962,7 +926,7 @@ def _count_run(field: FiniteField, dim: int, n: int, first=None) -> tuple[int, i
     forbids interior visits.  A word ends at the target of the edge of
     its first n - 1 moves, so each edge at depth n - 1 whose target is
     the origin counts q^2 words, and the walk reduces only the edges of
-    depth < n."""
+    depth < n (of depth 1, only continuation ``first`` when it is set)."""
     wk = _Walker(field, dim, n)
     width, last = len(wk.moves), n - 1
     root = wk.start()
@@ -970,9 +934,7 @@ def _count_run(field: FiniteField, dim: int, n: int, first=None) -> tuple[int, i
         return (width, width) if max(root[2]) == min(root[2]) else (0, 0)
     seen = [False] * (n + 1)  # seen[k]: the word's vertex at some depth 1 .. k is the origin
     g_total = f_total = 0
-    for depth, (_, _, degs), succs in wk.walk(root, last):
-        if not depth and first is not None:
-            succs[:] = succs[first : first + 1]
+    for depth, (_, _, degs), succs in wk.walk(root, last, first):
         seen[depth + 1] = interior = seen[depth] or max(degs) == min(degs)
         if depth + 1 == last:
             for _, _, d in succs:
@@ -1219,8 +1181,6 @@ def oracle_path_vertices(
 def fast_invariant(mat: LaurentMatrix):
     """Invariant of a polynomial-entry vertex via row reduction; the
     cross-check partner of ``birkhoff_invariant`` on enumeration paths."""
-    field = mat.field
-    dim = mat.dim
     if mat.min_entry_exponent() < 0:
         raise ValueError("row-reduction path expects polynomial entries")
     rows = [
@@ -1233,8 +1193,4 @@ def fast_invariant(mat: LaurentMatrix):
     det, _ = mat.det_adj()
     if not det:
         raise ValueError("singular representative")
-    negt = [field.neg(a) for a in range(field.q)]
-    degs = _reduce_rows(
-        rows, dim, int(laurent_deg(det)), field.mul_table, field.add_table, negt, field.inv_table
-    )
-    return _pair_from_degs(degs, dim)
+    return _pair_from_degs(_reduce_rows(rows, int(laurent_deg(det)), mat.field), mat.dim)

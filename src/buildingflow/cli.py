@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = subs.add_parser("weights", help="dump the transition weight table")
-    _add_common(p, {"format": "human", "m_max": 3})
+    _add_common(p, {"format": "human", "m_max": 3, "from_oracle": False})
     p.add_argument("--m-max", dest="m_max", type=int, help="graph truncation bound")
     p.add_argument(
         "--from-oracle",
@@ -462,8 +462,6 @@ def main(argv: list[str] | None = None) -> int:
         args = _merge_config(args)
         if args.threads < 1:
             raise CliError("--threads must be >= 1")
-        if getattr(args, "from_oracle", None) is None and hasattr(args, "from_oracle"):
-            args.from_oracle = False
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -143,7 +143,7 @@ def test_criterion_09_entropy_spr():
             gs = [shift.dp_g(q, 3 * n) for n in range(1, 5)]
             assert all(b == a * q**6 for a, b in zip(gs, gs[1:]))  # ratio test
         for q in range(2, 10):
-            rep = analysis.spr_report(q, verify_ratios=(q in (2, 3)))
+            rep = analysis.spr_report(q)
             assert rep.exact_h == (6, 0)
             assert rep.exact_growth_f == (3, 1)
             assert rep.spr and rep.margin_nats > 0

@@ -59,6 +59,27 @@ def test_field_axioms_random(q):
         assert f.sub(a, b) == f.add(a, f.neg(b))
 
 
+@pytest.mark.parametrize(
+    "q,irreducible", [(4, None), (8, None), (9, None), (16, (1, 1, 0, 0, 1))]
+)
+def test_prime_power_ops_same_before_and_after_tables(q, irreducible):
+    """A prime-power field's element ops read its tables once they are
+    built; on every pair they give what the digit arithmetic gave."""
+
+    def ops(f):
+        els = f.elements()
+        return (
+            [[(f.add(a, b), f.sub(a, b), f.mul(a, b)) for b in els] for a in els],
+            [f.neg(a) for a in els],
+            [f.inv(a) for a in f.units()],
+        )
+
+    f = FiniteField(q, irreducible)
+    before = ops(f)
+    assert f.mul_table and f.add_table
+    assert ops(f) == before
+
+
 def test_unsupported_sizes():
     assert not is_supported_q(6)
     assert not is_supported_q(1)

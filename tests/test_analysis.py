@@ -100,7 +100,7 @@ def test_spr_report_q3():
 
 @pytest.mark.parametrize("q", list(range(2, 10)))
 def test_spr_margin_positive_and_exact(q):
-    rep = spr_report(q, verify_ratios=False)
+    rep = spr_report(q)
     assert rep.spr and rep.margin_nats > 0
     assert math.isclose(
         rep.margin_nats, math.log(q**3 / (q * q + q - 1)) / 3, rel_tol=1e-12

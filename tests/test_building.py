@@ -383,10 +383,13 @@ class _InProcessPool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("q,n", [(3, 3), (4, 2)])
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 2), (2, 6), (3, 4), (4, 3)])
 def test_oracle_threads_merge_sliced_and_table(q, n, monkeypatch):
     """The subtrees under first move j, one per continuation of the base
-    edge in ``continuation_moves`` order, add up to the serial walk."""
+    edge in ``continuation_moves`` order, add up to the serial walk.
+    Each task reduces the base edge and continuation j alone at depth 1,
+    so the q^2 tasks reduce q^2 - 1 times more than the serial walk's
+    sum_{k<n} q^(2k)."""
     import concurrent.futures
 
     firsts = []
@@ -396,10 +399,20 @@ def test_oracle_threads_merge_sliced_and_table(q, n, monkeypatch):
         firsts.append(first)
         return count_run(field, dim, n, first)
 
+    calls = []
+    reducer = {2: "_reduce_gf2", 3: "_reduce_gf3"}.get(q, "_reduce_rows")
+    reduce = getattr(building, reducer)
+
+    def counting(*args):
+        calls.append(None)
+        return reduce(*args)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(building, "_count_run", recording)
+    monkeypatch.setattr(building, reducer, counting)
     split = building.oracle_g_f(q, n, threads=2)
     assert firsts == list(range(q * q))
+    assert len(calls) == sum(q ** (2 * k) for k in range(n)) + q * q - 1
     assert split == building.oracle_g_f(q, n)
 
 
@@ -551,8 +564,6 @@ def _walk_against_table_path(wk, max_depth):
     field, dim = wk.field, wk.dim
     moves = [building.std_step(field, dim), *continuation_moves(field, dim)]
     [step, *table_recipes] = building._col_recipes(moves)
-    negt = [field.neg(a) for a in range(field.q)]
-    tables = (field.mul_table, field.add_table, negt, field.inv_table)
 
     def dense(rows):
         return LaurentMatrix(field, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
@@ -566,14 +577,14 @@ def _walk_against_table_path(wk, max_depth):
     def rec(edge, rows, depth):
         src, tgt, degs = edge
         check(src, rows)
-        target = building._apply_move(rows, step, field.add_table, field.mul_table)
-        assert degs == building._reduce_rows(target, dim, depth + 1, *tables)
+        target = building._apply_move(rows, step, field)
+        assert degs == building._reduce_rows(target, depth + 1, field)
         check(tgt, target)
         if depth + 2 > max_depth:
             return
         for succ, recipe in zip(wk.successors(edge), table_recipes, strict=True):
-            nr = building._apply_move(rows, recipe, field.add_table, field.mul_table)
-            assert degs == building._reduce_rows(nr, dim, depth + 1, *tables)
+            nr = building._apply_move(rows, recipe, field)
+            assert degs == building._reduce_rows(nr, depth + 1, field)
             rec(succ, nr, depth + 1)
 
     rec(wk.start(), [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
@@ -599,7 +610,9 @@ def test_packed_walk_matches_table_path(dim, max_depth, bound):
     assert any(plan is not None for plan in wk.plans.values())
 
 
-@pytest.mark.parametrize("q,dim,max_depth", [(5, 3, 3), (4, 2, 6), (4, 3, 3), (5, 3, 2)])
+@pytest.mark.parametrize(
+    "q,dim,max_depth", [(5, 3, 3), (4, 2, 6), (4, 3, 3), (5, 3, 2), (8, 3, 2), (9, 3, 2)]
+)
 def test_memo_walk_matches_unmemoised_reducer(q, dim, max_depth):
     """The general-field walker, which reuses one reduction plan per
     leading-coefficient matrix, has at every edge of every word the rows
@@ -616,7 +629,6 @@ def test_memo_hits_keep_the_round_cap():
     the reduced degrees do not add up to raises on a memo hit too."""
     f5 = FiniteField(5)
     wk = building._Walker(f5, 3, 1)
-    tables = (wk.mult, wk.addt, wk.negt, wk.invt)
     reads = []
 
     class CountingPlans(dict):
@@ -628,15 +640,15 @@ def test_memo_hits_keep_the_round_cap():
     # the seeded plan for its singular leading coefficients keeps row 0
     stuck = (0, 1, 0, 0, 1, 0, 0, 0, 1)
     identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    wk.plans = CountingPlans({stuck: ((0, f5.mul_table[1]),), identity: None})
+    wk.plans = CountingPlans({stuck: ((0, 1),), identity: None})
     rows = [[[0, 1], [0, 0, 1], []], [[], [1], []], [[], [], [1]]]
     with pytest.raises(InternalConsistencyError, match="did not finish"):
-        building._reduce_rows(rows, 3, 1, *tables, wk.plans)
+        building._reduce_rows(rows, 1, f5, wk.plans)
     assert reads == [stuck, stuck]
     reads.clear()
     rows = [[[1] if i == j else [] for j in range(3)] for i in range(3)]
     with pytest.raises(InternalConsistencyError, match="do not sum"):
-        building._reduce_rows(rows, 3, -1, *tables, wk.plans)
+        building._reduce_rows(rows, -1, f5, wk.plans)
     assert reads == [identity]
 
 
@@ -772,11 +784,11 @@ def test_reduction_stops_at_its_bound(monkeypatch):
     assert fast_invariant(m) == birkhoff_invariant(VertexClass(m)) == (1, 0)
     tries = []
 
-    def stuck(lc, dim, *tables):
-        tries.append(lc)
-        return [1, 0, 0]  # keeps row 0 as it is
+    def stuck(key, dim, field):
+        tries.append(key)
+        return ((0, 1),)  # keeps row 0 as it is
 
-    monkeypatch.setattr(building, "_left_null_vector", stuck)
+    monkeypatch.setattr(building, "_reduction_plan", stuck)
     with pytest.raises(InternalConsistencyError, match="did not finish"):
         fast_invariant(m)
     assert len(tries) == 2

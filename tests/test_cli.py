@@ -110,6 +110,20 @@ def test_weights_census_equals_fold(capsys):
     assert fold_out == oracle_out
 
 
+def test_weights_config_from_oracle_equals_flag(tmp_path, capsys):
+    """``from_oracle = true`` in a config file selects the census as the
+    flag does; the human header names the source, so the fold rule's
+    output differs."""
+    cfg = tmp_path / "weights.conf"
+    cfg.write_text("q = 2\nm_max = 3\nfrom_oracle = true\n")
+    code, from_file, _ = run(capsys, "weights", "--config", str(cfg))
+    assert code == 0
+    code, from_flag, _ = run(capsys, "weights", "--q", "2", "--m-max", "3", "--from-oracle")
+    assert code == 0
+    assert from_file == from_flag
+    assert from_file != run(capsys, "weights", "--q", "2", "--m-max", "3")[1]
+
+
 def test_validate_exit_codes(capsys):
     code, out, _ = run(capsys, "validate", "--q", "2", "--steps", "3", "--m-max", "3")
     assert code == 0
