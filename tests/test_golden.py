@@ -54,6 +54,12 @@ def _cases() -> dict[str, list[str]]:
         cases[f"validate-q2-{fmt}"] = [
             "validate", "--q", "2", "--steps", "3", "--m-max", "3", "--format", fmt,
         ]
+    # the only cases whose output pins SKIP lines with their [detail]
+    for fmt in ("human", "json"):
+        cases[f"validate-q2-skips-{fmt}"] = [
+            "validate", "--q", "2", "--steps", "3", "--m-max", "3", "--max-leaves", "3",
+            "--format", fmt,
+        ]
     for fmt in _FORMATS:
         cases[f"entropy-q2-{fmt}"] = ["entropy", "--q", "2", "--format", fmt]
     for fmt in ("dot", "json"):
