@@ -422,26 +422,6 @@ class LaurentMatrix:
             (self.field, tuple(tuple(frozenset(e.items()) for e in row) for row in self.rows))
         )
 
-    def __repr__(self) -> str:
-        def fmt(e):
-            if not e:
-                return "0"
-            parts = []
-            for k in sorted(e, reverse=True):
-                c = e[k]
-                if k == 0:
-                    parts.append(f"{c}")
-                elif k == 1:
-                    parts.append(f"{c}t" if c != 1 else "t")
-                else:
-                    parts.append(f"{c}t^{k}" if c != 1 else f"t^{k}")
-            return "+".join(parts)
-
-        body = "; ".join(
-            "[" + ", ".join(fmt(e) for e in row) + "]" for row in self.rows
-        )
-        return f"LaurentMatrix(q={self.field.q}, {body})"
-
 
 # ---------------------------------------------------------------------------
 # Linear algebra over F_q

@@ -81,9 +81,6 @@ class VertexClass:
     def q(self) -> int:
         return self.rep.field.q
 
-    def __repr__(self) -> str:
-        return f"VertexClass({self.rep!r})"
-
 
 def origin(field: FiniteField, dim: int = 3) -> VertexClass:
     return VertexClass(LaurentMatrix.identity(field, dim))
@@ -424,16 +421,10 @@ def _apply_move(rows, recipe, field: FiniteField):
     for row in rows:
         new_row = []
         for terms in recipe:
-            if len(terms) == 1:
-                k, c, s = terms[0]
+            if len(terms) == 1 and terms[0][1] == 1:
+                k, _, s = terms[0]
                 ent = row[k]
-                if not ent:
-                    new_row.append([])
-                elif c == 1:
-                    new_row.append([0] * s + ent if s else list(ent))
-                else:
-                    mrow = mult[c]
-                    new_row.append([0] * s + [mrow[x] for x in ent])
+                new_row.append([0] * s + ent if s and ent else list(ent))
             else:
                 acc: list[int] = []
                 for k, c, s in terms:

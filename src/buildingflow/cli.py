@@ -5,7 +5,9 @@ building oracle), ``validate`` (the full cross-validation matrix),
 ``entropy`` (growth rates and the recurrence margin), ``graph`` and
 ``weights`` (transition-table exports).
 
-Counts cross the process boundary as decimal text so arbitrary
+``_emit`` is the one writer of stdout: each command hands it one lazy
+view per format it takes, so the wire format lives in this module
+alone.  Counts cross the process boundary as decimal text so arbitrary
 precision survives every format; half-integer edge indices are
 serialized doubled (k2 = 2k, l2 = 2l).  Exit codes: 0 success,
 1 validation mismatch, 2 invalid input, 3 budget refusal, and
@@ -18,12 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import signal
 import sys
 from collections import deque
+from itertools import chain
 
 from . import analysis, building, crosscheck, shift
 from .algebra import is_supported_q
@@ -106,6 +108,36 @@ def _choice(value: str, allowed: tuple[str, ...], what: str) -> str:
     return value
 
 
+def _emit(args, fmt: str, **views) -> None:
+    """Write the command's output in ``fmt``; nothing else writes stdout.
+
+    Each view is called only if its format is chosen: ``json`` returns the
+    record that follows the ``"command"`` key, ``csv`` returns
+    (header, rows), and any other format returns its lines, printed one
+    at a time so that a long table is never held as one string.
+    """
+    view = views[fmt]()
+    if fmt == "json":
+        print(json.dumps({"command": args.command, **view}, indent=2))
+    elif fmt == "csv":
+        header, rows = view
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in view:
+            print(line)
+
+
+def _records(items) -> list[dict]:
+    """JSON-ready (from, to, weight) records; indices doubled, weights as
+    decimal text."""
+    return [
+        {"from": {"k2": e.k2, "l2": e.l2}, "to": {"k2": s.k2, "l2": s.l2}, "weight": str(w)}
+        for e, s, w in items
+    ]
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -157,7 +189,6 @@ def _profile_rows(args) -> list[tuple[int, int, int]]:
 
 
 def cmd_count(args) -> int:
-    _require_supported_q(args.q)
     if args.steps is None or args.steps < 1:
         raise CliError("--steps must be >= 1")
     _choice(args.flow, ("pgl3", "pgl2"), "--flow")
@@ -170,31 +201,26 @@ def cmd_count(args) -> int:
             raise CliError("kind N is defined for flow pgl3 only")
         rows = _profile_rows(args)
         cols, titles, widths = ("k2", "l2", "count"), ("k", "l", "count"), (6, 6, 12)
-        human = [(shift.half(k2), shift.half(l2), c) for k2, l2, c in rows]
+        human = ((shift.half(k2), shift.half(l2), c) for k2, l2, c in rows)
     else:
         rows = _count_rows(args)
         cols, titles, widths, human = ("n", "count"), ("n", "count"), (4, 24), rows
-    if fmt == "human":
-        for cells in (titles, *human):
-            print(" ".join(f"{v:>{w}}" for v, w in zip(cells, widths)))
-        return EXIT_OK
-    rows = [(*r[:-1], str(r[-1])) for r in rows]  # counts cross the wire as decimal text
-    if fmt == "csv":
-        print(_csv(list(cols), rows))
-        return EXIT_OK
-    print(
-        _json(
-            {
-                "command": "count",
-                "q": args.q,
-                "flow": args.flow,
-                "kind": args.kind,
-                "method": args.method,
-                "steps": args.steps,
-                "rows": [dict(zip(cols, r)) for r in rows],
-            }
-        )
-    )
+
+    def table():
+        for cells in chain([titles], human):
+            yield " ".join(f"{v:>{w}}" for v, w in zip(cells, widths))
+
+    def wire():  # counts cross the wire as decimal text
+        return ((*r[:-1], str(r[-1])) for r in rows)
+
+    _emit(args, fmt, human=table, csv=lambda: (cols, wire()), json=lambda: {
+        "q": args.q,
+        "flow": args.flow,
+        "kind": args.kind,
+        "method": args.method,
+        "steps": args.steps,
+        "rows": [dict(zip(cols, r)) for r in wire()],
+    })
     return EXIT_OK
 
 
@@ -203,8 +229,24 @@ def cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_lines(results, ok: bool):
+    for r in results:
+        status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
+        line = f"{status:4} {r.name}"
+        if not r.passed:
+            line += f"  expected={r.expected}  actual={r.actual}"
+        if r.detail and (not r.passed or r.skipped):
+            line += f"  [{r.detail}]"
+        yield line
+    yield (
+        f"{'OK' if ok else 'MISMATCH'}: {len(results)} checks, "
+        f"{sum(1 for r in results if r.passed and not r.skipped)} passed, "
+        f"{sum(1 for r in results if r.skipped)} skipped, "
+        f"{sum(1 for r in results if not r.passed)} failed"
+    )
+
+
 def cmd_validate(args) -> int:
-    _require_supported_q(args.q)
     fmt = _choice(args.format, ("human", "json"), "--format")
     cfg = crosscheck.ValidationConfig(
         q=args.q,
@@ -215,35 +257,13 @@ def cmd_validate(args) -> int:
     )
     results = crosscheck.run_validation(cfg)
     ok = crosscheck.all_passed(results)
-    if fmt == "json":
-        print(
-            _json(
-                {
-                    "command": "validate",
-                    "q": args.q,
-                    "steps": args.steps,
-                    "m_max": args.m_max,
-                    "passed": ok,
-                    "checks": [dataclasses.asdict(r) for r in results],
-                }
-            )
-        )
-    else:
-        for r in results:
-            status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
-            line = f"{status:4} {r.name}"
-            if not r.passed:
-                line += f"  expected={r.expected}  actual={r.actual}"
-            if r.detail and (not r.passed or r.skipped):
-                line += f"  [{r.detail}]"
-            print(line)
-        n_checks = len(results)
-        n_skip = sum(1 for r in results if r.skipped)
-        print(
-            f"{'OK' if ok else 'MISMATCH'}: {n_checks} checks, "
-            f"{sum(1 for r in results if r.passed and not r.skipped)} passed, "
-            f"{n_skip} skipped, {sum(1 for r in results if not r.passed)} failed"
-        )
+    _emit(args, fmt, human=lambda: _check_lines(results, ok), json=lambda: {
+        "q": args.q,
+        "steps": args.steps,
+        "m_max": args.m_max,
+        "passed": ok,
+        "checks": [dataclasses.asdict(r) for r in results],
+    })
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -253,57 +273,34 @@ def cmd_validate(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    _require_supported_q(args.q)
     fmt = _choice(args.format, ("human", "json", "csv"), "--format")
     rep = analysis.spr_report(args.q)
-    if fmt == "json":
-        print(
-            _json(
-                {
-                    "command": "entropy",
-                    "q": rep.q,
-                    "h_nats": rep.h_nats,
-                    "growth_f_nats": rep.growth_f_nats,
-                    "margin_nats": rep.margin_nats,
-                    "paper_claimed_growth_nats": rep.paper_claimed_growth_nats,
-                    "spr": rep.spr,
-                    "exact": {
-                        "h": list(rep.exact_h),
-                        "growth_f": list(rep.exact_growth_f),
-                    },
-                    "note": rep.note,
-                }
-            )
-        )
-    elif fmt == "csv":
-        print(
-            _csv(
-                ["q", "h_nats", "growth_f_nats", "margin_nats", "paper_claimed_growth_nats", "spr"],
-                [
-                    (
-                        rep.q,
-                        f"{rep.h_nats:.12f}",
-                        f"{rep.growth_f_nats:.12f}",
-                        f"{rep.margin_nats:.12f}",
-                        f"{rep.paper_claimed_growth_nats:.12f}",
-                        rep.spr,
-                    )
-                ],
-            )
-        )
-    else:
-        a, b = rep.exact_h
-        c, d = rep.exact_growth_f
-        print(f"q                    : {rep.q}")
-        print(f"entropy h            : {rep.h_nats:.6f} nats  (exact (1/3)·log(q^{a}))")
-        print(
+    rates = ("h_nats", "growth_f_nats", "margin_nats", "paper_claimed_growth_nats")
+    (a, _), (c, d) = rep.exact_h, rep.exact_growth_f
+    _emit(
+        args, fmt,
+        json=lambda: {
+            "q": rep.q,
+            **{k: getattr(rep, k) for k in rates},
+            "spr": rep.spr,
+            "exact": {"h": list(rep.exact_h), "growth_f": list(rep.exact_growth_f)},
+            "note": rep.note,
+        },
+        csv=lambda: (
+            ("q", *rates, "spr"),
+            [(rep.q, *(f"{getattr(rep, k):.12f}" for k in rates), rep.spr)],
+        ),
+        human=lambda: (
+            f"q                    : {rep.q}",
+            f"entropy h            : {rep.h_nats:.6f} nats  (exact (1/3)·log(q^{a}))",
             f"first-return growth  : {rep.growth_f_nats:.6f} nats  "
-            f"(exact (1/3)·log(q^{c}·(q^2+q-1)^{d}))"
-        )
-        print(f"margin h - growth    : {rep.margin_nats:.6f} nats")
-        print(f"announced growth     : {rep.paper_claimed_growth_nats:.6f} nats ((5/3)·log q)")
-        print(f"strongly pos. rec.   : {rep.spr}")
-        print(f"note                 : {rep.note}")
+            f"(exact (1/3)·log(q^{c}·(q^2+q-1)^{d}))",
+            f"margin h - growth    : {rep.margin_nats:.6f} nats",
+            f"announced growth     : {rep.paper_claimed_growth_nats:.6f} nats ((5/3)·log q)",
+            f"strongly pos. rec.   : {rep.spr}",
+            f"note                 : {rep.note}",
+        ),
+    )
     return EXIT_OK
 
 
@@ -312,30 +309,29 @@ def cmd_entropy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _dot_lines(table):
+    """Deterministic DOT rendering; edge labels are lift multiplicities."""
+    nodes = set(table).union(*table.values())
+    yield "digraph shift {"
+    for e in sorted(nodes, key=lambda x: (x.k2, x.l2)):
+        yield f'  "{e.pretty()}" [k2={e.k2}, l2={e.l2}];'
+    for e, s, w in shift.sorted_table_items(table):
+        yield f'  "{e.pretty()}" -> "{s.pretty()}" [label="{w}"];'
+    yield "}"
+
+
 def cmd_graph(args) -> int:
-    _require_supported_q(args.q)
     fmt = _choice(args.format, ("dot", "json"), "--format")
     if args.m_max is None or args.m_max < 2:
         raise CliError("--m-max must be >= 2")
     table = shift.build_graph(args.q, args.m_max)
-    if fmt == "dot":
-        sys.stdout.write(shift.graph_to_dot(table))
-    else:
-        print(
-            _json(
-                {
-                    "command": "graph",
-                    "q": args.q,
-                    "m_max": args.m_max,
-                    "edges": shift.graph_records(table),
-                }
-            )
-        )
+    _emit(args, fmt, dot=lambda: _dot_lines(table), json=lambda: {
+        "q": args.q, "m_max": args.m_max, "edges": _records(shift.sorted_table_items(table)),
+    })
     return EXIT_OK
 
 
 def cmd_weights(args) -> int:
-    _require_supported_q(args.q)
     fmt = _choice(args.format, ("human", "json", "csv"), "--format")
     if args.m_max is None or args.m_max < 2:
         raise CliError("--m-max must be >= 2")
@@ -345,48 +341,31 @@ def cmd_weights(args) -> int:
         table = shift.build_graph(args.q, args.m_max)
     items = list(shift.sorted_table_items(table))
     source = "oracle census" if args.from_oracle else "fold rule"
-    if fmt == "human":
-        print(f"{'from':>12} {'to':>12} {'weight':>8}   ({source}, m <= {args.m_max})")
+
+    def human():
+        yield f"{'from':>12} {'to':>12} {'weight':>8}   ({source}, m <= {args.m_max})"
         for e, s, w in items:
-            print(f"{e.pretty():>12} {s.pretty():>12} {w:>8}")
-    elif fmt == "json":
-        print(
-            _json(
-                {
-                    "command": "weights",
-                    "q": args.q,
-                    "m_max": args.m_max,
-                    "source": "oracle" if args.from_oracle else "fold",
-                    "edges": shift.graph_records(table),
-                }
-            )
-        )
-    else:
-        print(
-            _csv(
-                ["from_k2", "from_l2", "to_k2", "to_l2", "weight"],
-                [(e.k2, e.l2, s.k2, s.l2, str(w)) for e, s, w in items],
-            )
-        )
+            yield f"{e.pretty():>12} {s.pretty():>12} {w:>8}"
+
+    _emit(
+        args, fmt, human=human,
+        json=lambda: {
+            "q": args.q,
+            "m_max": args.m_max,
+            "source": "oracle" if args.from_oracle else "fold",
+            "edges": _records(items),
+        },
+        csv=lambda: (
+            ("from_k2", "from_l2", "to_k2", "to_l2", "weight"),
+            ((e.k2, e.l2, s.k2, s.l2, str(w)) for e, s, w in items),
+        ),
+    )
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2)
-
-
-def _csv(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue().rstrip("\n")
 
 
 def _add_common(sub: argparse.ArgumentParser, defaults: dict) -> None:
@@ -462,6 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _merge_config(args)
         if args.threads < 1:
             raise CliError("--threads must be >= 1")
+        _require_supported_q(args.q)
         code = args.func(args)
         sys.stdout.flush()
         return code

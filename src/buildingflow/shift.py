@@ -257,7 +257,8 @@ def build_graph(q: int, m_max: int) -> WeightTable:
 
 
 def sorted_table_items(table: WeightTable) -> Iterator[tuple[QuotientEdge, QuotientEdge, int]]:
-    """Flatten a weight table in the canonical export order."""
+    """Flatten a weight table in the canonical order: by (k2, l2) of the
+    source edge, then of the target edge."""
     for e in sorted(table, key=lambda x: (x.k2, x.l2)):
         succs = table[e]
         for s in sorted(succs, key=lambda x: (x.k2, x.l2)):
@@ -432,33 +433,3 @@ def three_step_coefficients(q: int) -> tuple[int, int, int, int]:
         )
     return got
 
-
-# ---------------------------------------------------------------------------
-# Export formats
-# ---------------------------------------------------------------------------
-
-
-def graph_to_dot(table: WeightTable) -> str:
-    """Deterministic DOT rendering; edge labels are lift multiplicities."""
-    nodes: set[QuotientEdge] = set(table)
-    for succs in table.values():
-        nodes.update(succs)
-    lines = ["digraph shift {"]
-    for e in sorted(nodes, key=lambda x: (x.k2, x.l2)):
-        lines.append(f'  "{e.pretty()}" [k2={e.k2}, l2={e.l2}];')
-    for e, s, w in sorted_table_items(table):
-        lines.append(f'  "{e.pretty()}" -> "{s.pretty()}" [label="{w}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_records(table: WeightTable) -> list[dict]:
-    """JSON-ready records; indices doubled, weights as decimal text."""
-    return [
-        {
-            "from": {"k2": e.k2, "l2": e.l2},
-            "to": {"k2": s.k2, "l2": s.l2},
-            "weight": str(w),
-        }
-        for e, s, w in sorted_table_items(table)
-    ]

@@ -247,3 +247,72 @@ def test_count_oracle_starts_one_pool(monkeypatch, capsys):
     assert len(pools) == 1
     assert pools[0].closed
     assert split == single
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "2", "--steps", "3"],
+        ["count", "--q", "2", "--steps", "3", "--method", "oracle"],
+        ["validate", "--q", "2", "--steps", "3", "--m-max", "3"],
+        ["entropy", "--q", "2"],
+        ["graph", "--q", "2"],
+        ["weights", "--q", "2"],
+    ],
+)
+def test_unsupported_format_refused_before_any_work(monkeypatch, capsys, argv):
+    """A format the command does not take exits 2 with nothing on stdout,
+    and is refused before any oracle walk."""
+    from buildingflow import building
+
+    walks = []
+
+    def no_walk(*args, **kwargs):
+        walks.append(args)
+        raise AssertionError("walked before the format check")
+
+    monkeypatch.setattr(building, "oracle_g_f", no_walk)
+    code, out, err = run(capsys, *argv, "--format", "xml")
+    assert code == 2
+    assert out == ""
+    assert "--format must be one of" in err and "'xml'" in err
+    assert walks == []
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("q = 2\nsteps 6\n", "weights.conf:2: expected key = value"),
+        ("q = 2\ncolour = red\n", "unknown config key 'colour'"),
+        ("q = 2\nsteps = x\n", "bad value for 'steps': 'x'"),
+    ],
+)
+def test_bad_config_file_exit_2(tmp_path, capsys, body, message):
+    cfg = tmp_path / "weights.conf"
+    cfg.write_text(body)
+    code, out, err = run(capsys, "count", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_missing_q_exit_2(capsys):
+    code, out, err = run(capsys, "count", "--steps", "3")
+    assert (code, out) == (2, "")
+    assert "--q is required" in err
+
+
+def test_validate_failing_check_human_line(monkeypatch, capsys):
+    """A failing check prints its expected and actual values and its
+    detail, the summary reads MISMATCH, and the exit code is 1."""
+    from buildingflow import crosscheck
+
+    failed = crosscheck.CheckResult("closed_vs_dp_g", False, expected="[24]",
+                                    actual="[25]", detail="n=1")
+    monkeypatch.setattr(crosscheck, "run_validation", lambda cfg: [failed])
+    code, out, _ = run(capsys, "validate", "--q", "2")
+    assert code == cli.EXIT_MISMATCH == 1
+    assert out.splitlines() == [
+        "FAIL closed_vs_dp_g  expected=[24]  actual=[25]  [n=1]",
+        "MISMATCH: 1 checks, 0 passed, 0 skipped, 1 failed",
+    ]

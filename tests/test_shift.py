@@ -1,8 +1,10 @@
 """Quotient shift: fold rule, transitions, weight table, and the DP."""
 
+import json
+
 import pytest
 
-from buildingflow import shift
+from buildingflow import cli, shift
 from buildingflow.errors import InternalConsistencyError
 from buildingflow.shift import QVertex, QuotientEdge
 
@@ -175,17 +177,20 @@ def test_graph_three_cycle_q2():
     assert w == 24 == shift.dp_g(2, 3)
 
 
-def test_dot_export_deterministic():
-    table = shift.build_graph(2, 3)
-    dot1 = shift.graph_to_dot(table)
-    dot2 = shift.graph_to_dot(shift.build_graph(2, 3))
+def _graph_stdout(capsys, fmt):
+    assert cli.main(["graph", "--q", "2", "--m-max", "3", "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_dot_export_deterministic(capsys):
+    dot1 = _graph_stdout(capsys, "dot")
+    dot2 = _graph_stdout(capsys, "dot")
     assert dot1 == dot2
     assert '"e(1/2,1/2)" -> "e(1/2,0)" [label="4"];' in dot1
 
 
-def test_graph_records_wire_format():
-    table = shift.build_graph(2, 3)
-    recs = shift.graph_records(table)
+def test_graph_records_wire_format(capsys):
+    recs = json.loads(_graph_stdout(capsys, "json"))["edges"]
     assert recs == sorted(
         recs, key=lambda r: (r["from"]["k2"], r["from"]["l2"], r["to"]["k2"], r["to"]["l2"])
     )
