@@ -90,6 +90,21 @@ def _cases() -> dict[str, list[str]]:
         "count", "--q", "3", "--steps", "6", "--flow", "pgl2", "--method", "oracle",
         "--kind", "g", "--format", "csv",
     ]
+    # the oracle at every walk size the merged walk must keep: q = 5 in
+    # dim 3 and dim 2, the terminal profile at (2, 9), first returns at (3, 6)
+    cases["count-q5-oracle-g-steps3-json"] = [
+        "count", "--method", "oracle", "--q", "5", "--steps", "3", "--format", "json",
+    ]
+    cases["count-pgl2-q5-oracle-g-steps6-csv"] = [
+        "count", "--flow", "pgl2", "--method", "oracle", "--q", "5", "--steps", "6",
+        "--format", "csv",
+    ]
+    cases["count-q2-oracle-N-steps9-csv"] = [
+        "count", "--method", "oracle", "--kind", "N", "--q", "2", "--steps", "9", "--format", "csv",
+    ]
+    cases["count-q3-oracle-f-steps6-json"] = [
+        "count", "--method", "oracle", "--kind", "f", "--q", "3", "--steps", "6", "--format", "json",
+    ]
     # the DP at large q and long horizons
     cases["count-q9973-dp-N-steps30-csv"] = [
         "count", "--method", "dp", "--kind", "N", "--q", "9973", "--steps", "30", "--format", "csv",
