@@ -59,6 +59,15 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _yes_no(raw: str) -> bool:
+    """A boolean config value: 1, true or yes, or 0, false or no, in any
+    case; anything else raises ValueError."""
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(raw)
+    return word in ("1", "true", "yes")
+
+
 _CONFIG_TYPES = {
     "q": int,
     "steps": int,
@@ -69,7 +78,7 @@ _CONFIG_TYPES = {
     "method": str,
     "kind": str,
     "format": str,
-    "from_oracle": lambda s: s.lower() in ("1", "true", "yes"),
+    "from_oracle": _yes_no,
 }
 
 
@@ -158,13 +167,7 @@ def _count_rows(args) -> list[tuple[int, int]]:
         closed = analysis.closed_f if first_return else analysis.closed_g
         return [(n, closed(args.q, n)) for n in ns]
     dim = 3 if args.flow == "pgl3" else 2
-    # one process pool for every length's walk, shut down before printing
-    with building.OraclePool(args.threads, building.oracle_leaves(args.q, 1, dim)) as pool:
-        walks = [
-            building.oracle_g_f(args.q, n, dim, args.max_leaves, args.threads, pool=pool)
-            for n in ns
-        ]
-    return [(n, gf[first_return]) for n, gf in zip(ns, walks)]
+    return [(n, building.oracle_g_f(args.q, n, dim, args.max_leaves)[first_return]) for n in ns]
 
 
 def _profile_rows(args) -> list[tuple[int, int, int]]:
@@ -253,7 +256,6 @@ def cmd_validate(args) -> int:
         steps=args.steps,
         m_max=args.m_max,
         max_leaves=args.max_leaves,
-        threads=args.threads,
     )
     results = crosscheck.run_validation(cfg)
     ok = crosscheck.all_passed(results)
@@ -378,7 +380,7 @@ def _add_common(sub: argparse.ArgumentParser, defaults: dict) -> None:
         type=int,
         help="oracle budget: refuse enumerations beyond this many leaves",
     )
-    sub.add_argument("--threads", type=int, help="worker processes for oracle subtrees")
+    sub.add_argument("--threads", type=int, help="accepted (>= 1) but has no effect")
     sub.set_defaults(
         _defaults={"max_leaves": building.DEFAULT_MAX_LEAVES, "threads": 1, **defaults}
     )

@@ -33,7 +33,6 @@ class ValidationConfig:
     steps: int = 6
     m_max: int = 5
     max_leaves: int = building.DEFAULT_MAX_LEAVES
-    threads: int = 1
     prefix_len: int = 6
     closed_horizon: int = 5  # closed-form checks run for n = 1 .. this
     # fault-injection hook for tests: {((k2,l2),(k2,l2)): weight}
@@ -74,14 +73,7 @@ def _agree(name, ns, got, want, detail="", expected=None, where=False) -> CheckR
 
 
 def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
-    """Every check of the matrix, in report order.  Oracle walks that
-    split over ``cfg.threads`` share one process pool, started by the
-    first of them and shut down on return."""
-    with building.OraclePool(cfg.threads, cfg.q * cfg.q) as pool:
-        return _run_checks(cfg, pool)
-
-
-def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckResult]:
+    """Every check of the matrix, in report order."""
     q = cfg.q
     results: list[CheckResult] = []
     ns = list(range(1, cfg.closed_horizon + 1))
@@ -97,9 +89,7 @@ def _run_checks(cfg: ValidationConfig, pool: building.OraclePool) -> list[CheckR
         [12, *grid] + [n for n in oracle_ns if building.oracle_leaves(q, n) <= cfg.max_leaves]
     )
     sweep = functools.cache(lambda taboo: list(shift.dp_sweep(q, horizon, taboo)))
-    walk = functools.cache(
-        lambda n, dim: building.oracle_g_f(q, n, dim, cfg.max_leaves, cfg.threads, pool=pool)
-    )
+    walk = functools.cache(lambda n, dim: building.oracle_g_f(q, n, dim, cfg.max_leaves))
 
     def counts(steps: list[int], taboo: bool = False) -> list[int]:
         return [sweep(taboo)[n].get(base, 0) for n in steps]

@@ -329,7 +329,6 @@ def test_oracle_leaves():
     "call",
     [
         lambda f: building.oracle_g_f(3, 3, field=f),
-        lambda f: building.oracle_g_f(3, 3, threads=2, field=f),
         lambda f: building.oracle_counts(3, 3, dim=2, field=f),
         lambda f: building.oracle_terminal_profile(3, 3, field=f),
         lambda f: building.oracle_transition_census(3, 2, field=f),
@@ -337,7 +336,7 @@ def test_oracle_leaves():
         lambda f: building.oracle_prefix_mismatches(3, 1, field=f),
         lambda f: building.oracle_path_vertices(3, 1, field=f),
     ],
-    ids=["g_f", "g_f-threads", "counts-dim2", "terminal", "census", "lift", "prefix", "path"],
+    ids=["g_f", "counts-dim2", "terminal", "census", "lift", "prefix", "path"],
 )
 def test_oracle_refuses_a_field_of_another_size(call):
     # a q = 2 field walked under q = 3 once gave the q = 2 counts
@@ -365,86 +364,57 @@ def test_oracle_accepts_its_own_field():
     assert building.oracle_g_f(2, 3, field=FiniteField(2)) == (24, 24)
 
 
-def test_oracle_threads_merge():
-    assert building.oracle_g_f(2, 4, threads=2) == building.oracle_g_f(2, 4)
-
-
-class _InProcessPool:
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("q,n", [(3, 3), (4, 2), (2, 6), (3, 4), (4, 3)])
-def test_oracle_threads_merge_sliced_and_table(q, n, monkeypatch):
-    """The subtrees under first move j, one per continuation of the base
-    edge in ``continuation_moves`` order, add up to the serial walk.
-    Each task reduces the base edge and continuation j alone at depth 1,
-    so the q^2 tasks reduce q^2 - 1 times more than the serial walk's
-    sum_{k<n} q^(2k)."""
-    import concurrent.futures
-
-    firsts = []
-    count_run = building._count_run
-
-    def recording(field, dim, n, first=None):
-        firsts.append(first)
-        return count_run(field, dim, n, first)
-
+def _counting_reducer(monkeypatch):
+    """Wrap ``_reduce_rows`` so that each call appends to the list
+    returned."""
     calls = []
-    reducer = {2: "_reduce_gf2", 3: "_reduce_gf3"}.get(q, "_reduce_rows")
-    reduce = getattr(building, reducer)
+    reduce = building._reduce_rows
 
     def counting(*args):
         calls.append(None)
         return reduce(*args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(building, "_count_run", recording)
-    monkeypatch.setattr(building, reducer, counting)
-    split = building.oracle_g_f(q, n, threads=2)
-    assert firsts == list(range(q * q))
-    assert len(calls) == sum(q ** (2 * k) for k in range(n)) + q * q - 1
-    assert split == building.oracle_g_f(q, n)
+    monkeypatch.setattr(building, "_reduce_rows", counting)
+    return calls
+
+
+def _exhaustive_profile(q, n):
+    """The depth-n terminal profile tallied over every word by
+    ``_Walker.walk``, with no merging."""
+    wk = building._Walker(FiniteField(q), 3)
+    root = wk.start()
+    if n == 0:
+        return {wk.quotient([0] * 3, root[2]): 1}
+    out = Counter()
+    for depth, (_, _, degs), succs in wk.walk(root, n):
+        if depth == n - 1:
+            out.update(wk.quotient(degs, d) for _, _, d in succs)
+    return dict(out)
 
 
 @pytest.mark.parametrize(
-    "q,n,reducer,m_max",
+    "q,n,m_max",
     [
-        pytest.param(2, 6, "_reduce_gf2", 5, id="2-6-_reduce_gf2"),
-        pytest.param(3, 4, "_reduce_gf3", 5, id="3-4-_reduce_gf3"),
-        pytest.param(4, 3, "_reduce_rows", 3, id="4-3-_reduce_rows"),
+        pytest.param(2, 6, 5, id="2-6-_reduce_rows"),
+        pytest.param(3, 4, 5, id="3-4-_reduce_rows"),
+        pytest.param(4, 3, 3, id="4-3-_reduce_rows"),
     ],
 )
-def test_oracle_reduces_each_node_once(q, n, reducer, m_max, monkeypatch):
-    """Every consumer reduces once per edge it visits, the target of
-    each.  The depth-n count visits the sum_{k<n} q^(2k) edges of depth
-    < n; the depth-n terminal profile those of depth <= n; the prefix
-    sweep to max_len those of depth <= max_len + 1; the census the base
-    edge and the q^2 continuations of each edge it tabulates."""
-    calls = []
-    reduce = getattr(building, reducer)
-
-    def counting(*args):
-        calls.append(None)
-        return reduce(*args)
+def test_oracle_reduces_each_node_once(q, n, m_max, monkeypatch):
+    """Every exhaustive consumer reduces once per edge it visits, the
+    target of each.  The depth-n count visits the sum_{k<n} q^(2k) edges
+    of depth < n; the depth-n terminal profile those of depth <= n; the
+    prefix sweep to max_len those of depth <= max_len + 1; the census the
+    base edge and the q^2 continuations of each edge it tabulates."""
+    calls = _counting_reducer(monkeypatch)
 
     def edges(depth):
         return sum(q ** (2 * k) for k in range(depth + 1))
 
-    monkeypatch.setattr(building, reducer, counting)
-    building.oracle_g_f(q, n)
+    building._count_run(FiniteField(q), 3, n)
     assert len(calls) == edges(n - 1)
     calls.clear()
-    building.oracle_terminal_profile(q, n)
+    _exhaustive_profile(q, n)
     assert len(calls) == edges(n)
     calls.clear()
     assert building.oracle_prefix_mismatches(q, n - 2) == []
@@ -459,16 +429,81 @@ def test_prefix_sweep_reduction_count(monkeypatch):
     it expands the 91 of depth <= 2 and reads each one's quotient edge
     and those of its 9 continuations off their targets' degrees, one
     reduction per edge."""
-    calls = []
-    reduce = building._reduce_gf3
-
-    def counting(*args):
-        calls.append(None)
-        return reduce(*args)
-
-    monkeypatch.setattr(building, "_reduce_gf3", counting)
+    calls = _counting_reducer(monkeypatch)
     assert building.oracle_prefix_mismatches(3, 2) == []
     assert len(calls) == 820 == sum(9**k for k in range(4))
+
+
+@pytest.mark.parametrize("q,n,reductions", [(2, 9, 1261), (3, 6, 370)])
+def test_merged_walk_reduces_once_per_state(q, n, reductions, monkeypatch):
+    """The merged count reduces the base edge and the q^2 continuations
+    of each state it expands, one per orbit of targets at depth < n - 1:
+    1,261 reductions at (2, 9) where the exhaustive walk makes 87,381,
+    and 370 at (3, 6) against 66,430."""
+    calls = _counting_reducer(monkeypatch)
+    assert building.oracle_g_f(q, n) == (shift.dp_g(q, n), shift.dp_f(q, n))
+    assert len(calls) == reductions
+    calls.clear()
+    wk = building._Walker(FiniteField(q), 3)
+    states = sum(1 for _ in wk.merged(wk.start(), n - 1))
+    assert len(calls) == 1 + q * q * states == reductions
+
+
+_MERGED_CASES = [
+    (q, n, dim)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for dim in (3, 2)
+    for n in range(1, 10)
+    if q ** (2 * n) <= 2 * 10**5
+]
+
+
+@pytest.mark.parametrize("q,n,dim", _MERGED_CASES)
+def test_merged_walk_matches_exhaustive(q, n, dim):
+    """The merged walk's g and f equal those of the exhaustive walk over
+    every word, wherever that walk has at most 2 10^5 words in dim 3."""
+    field = FiniteField(q)
+    assert building.oracle_g_f(q, n, dim, field=field) == building._count_run(field, dim, n)
+
+
+@pytest.mark.parametrize("q,n", [(2, 0), (2, 1), (2, 6), (3, 4), (4, 3), (5, 2), (9, 2)])
+def test_merged_terminal_profile_matches_exhaustive_tally(q, n):
+    assert building.oracle_terminal_profile(q, n) == _exhaustive_profile(q, n)
+
+
+def _popov_of(mat):
+    """Reduce a polynomial matrix, then finish it to Popov form; returns
+    (key, row degrees)."""
+    field = mat.field
+    rows = [[[ent.get(e, 0) for e in range(max(ent, default=-1) + 1)] for ent in row] for row in mat.rows]
+    degs = building._reduce_rows(rows, max(mat.det_adj()[0]), field)
+    return building._popov(rows, degs, field), degs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_popov_form_is_a_gamma_orbit_invariant(q):
+    """For seeded unimodular gamma over F_q[t] and walk targets R,
+    reduce-then-Popov gives one form for gamma R and R, with the reduced
+    row degrees unchanged as a multiset, and the form is its own Popov
+    form: monic pivots on the diagonal, each the rightmost entry of its
+    row's degree, and no other entry in a pivot's column of its degree
+    or more."""
+    field = FiniteField(q)
+    rng = random.Random(q)
+    wk = building._Walker(field, 3)
+    targets = [wk.to_matrix(r) for _, (_, r, _), _ in wk.walk(wk.start(), 3 if q < 4 else 2)]
+    for mat in rng.sample(targets, 12):
+        want, degs = _popov_of(mat)
+        rows = [[list(ent) for ent in row] for row in want]
+        assert building._popov(rows, list(degs), field) == want
+        for j, row in enumerate(want):
+            assert len(row[j]) == degs[j] + 1 and row[j][-1] == 1
+            assert all(len(ent) <= degs[j] for ent in row[j + 1 :])
+            assert all(len(r[j]) <= degs[j] for i, r in enumerate(want) if i != j)
+        for _ in range(4):
+            got, got_degs = _popov_of(_random_unimodular_poly(field, rng) @ mat)
+            assert got == want
+            assert sorted(got_degs) == sorted(degs)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -494,22 +529,7 @@ def test_walker_mixes_are_constant_and_invertible(q, dim, monkeypatch):
         bad_moves = moves[:-1] + [LaurentMatrix(field, bad)]
         monkeypatch.setattr(building, "continuation_moves", lambda f, d, m=bad_moves: m)
         with pytest.raises(InternalConsistencyError, match="constant invertible"):
-            building._Walker(field, dim, 2)
-
-
-def test_oracle_pool_clamped_to_cpu_count(monkeypatch):
-    import concurrent.futures
-
-    sizes = []
-
-    class InProcessPool(_InProcessPool):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(building.os, "cpu_count", lambda: 1)
-    assert building.oracle_g_f(2, 3, threads=8) == (24, 24)
-    assert sizes == [1]
+            building._Walker(field, dim)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -555,31 +575,20 @@ def test_census_lifts_decode_to_their_edges():
 
 def _walk_against_table_path(wk, max_depth):
     """Hold every edge wk walks to targets at depth max_depth against
-    the unmemoised table path, in ``continuation_moves`` order: its
-    source against the table's reduced vertex, its target and the
-    target's row degrees against the table's reduction of source * a,
-    and the row degrees the table's reduced continuations share against
-    its target's.  Table-path rows are compared as they are, packed and
-    sliced rows decoded."""
+    the unmemoised reducer, in ``continuation_moves`` order: its source
+    against the reduced vertex, its target and the target's row degrees
+    against the reduction of source * a, and the row degrees the reduced
+    continuations share against its target's."""
     field, dim = wk.field, wk.dim
     moves = [building.std_step(field, dim), *continuation_moves(field, dim)]
     [step, *table_recipes] = building._col_recipes(moves)
 
-    def dense(rows):
-        return LaurentMatrix(field, [[{e: c for e, c in enumerate(x) if c} for x in r] for r in rows])
-
-    def check(held, rows):
-        if wk.packed or wk.sliced:
-            assert wk.to_matrix(held) == dense(rows)
-        else:
-            assert held == rows
-
     def rec(edge, rows, depth):
         src, tgt, degs = edge
-        check(src, rows)
+        assert src == rows
         target = building._apply_move(rows, step, field)
         assert degs == building._reduce_rows(target, depth + 1, field)
-        check(tgt, target)
+        assert tgt == target
         if depth + 2 > max_depth:
             return
         for succ, recipe in zip(wk.successors(edge), table_recipes, strict=True):
@@ -591,34 +600,17 @@ def _walk_against_table_path(wk, max_depth):
 
 
 @pytest.mark.parametrize(
-    "dim,max_depth,bound",
+    "q,dim,max_depth",
     [
-        pytest.param(3, 5, 5, id="3-5"),
-        pytest.param(2, 8, 8, id="2-8"),
-        (3, 5, 47),  # the census's slot width at m_max = 5
-        (2, 6, 40),
+        (2, 3, 5), (2, 2, 8), (3, 3, 4), (3, 2, 6),
+        (5, 3, 3), (4, 2, 6), (4, 3, 3), (5, 3, 2), (8, 3, 2), (9, 3, 2),
     ],
 )
-def test_packed_walk_matches_table_path(dim, max_depth, bound):
-    """The q = 2 walker's packed matrix, decoded, equals the rows the
-    general table path gives at every node of every word, with slots
-    just wide enough and with slots wider than the walk needs; its plan
-    memo is in use."""
-    wk = building._Walker(F2, dim, bound)
-    assert wk.packed and wk.fmt.width == bound + 1
-    _walk_against_table_path(wk, max_depth)
-    assert any(plan is not None for plan in wk.plans.values())
-
-
-@pytest.mark.parametrize(
-    "q,dim,max_depth", [(5, 3, 3), (4, 2, 6), (4, 3, 3), (5, 3, 2), (8, 3, 2), (9, 3, 2)]
-)
 def test_memo_walk_matches_unmemoised_reducer(q, dim, max_depth):
-    """The general-field walker, which reuses one reduction plan per
-    leading-coefficient matrix, has at every edge of every word the rows
-    and degrees the reducer gives when it solves every round afresh."""
-    wk = building._Walker(FiniteField(q), dim, max_depth)
-    assert not wk.packed and not wk.sliced
+    """The walker, which reuses one reduction plan per leading-coefficient
+    matrix, has at every edge of every word the rows and degrees the
+    reducer gives when it solves every round afresh."""
+    wk = building._Walker(FiniteField(q), dim)
     _walk_against_table_path(wk, max_depth)
     assert any(plan is not None for plan in wk.plans.values())
 
@@ -628,7 +620,7 @@ def test_memo_hits_keep_the_round_cap():
     sum(degs) - deg det + 1 times, then the reduction raises; a deg det
     the reduced degrees do not add up to raises on a memo hit too."""
     f5 = FiniteField(5)
-    wk = building._Walker(f5, 3, 1)
+    wk = building._Walker(f5, 3)
     reads = []
 
     class CountingPlans(dict):
@@ -652,133 +644,11 @@ def test_memo_hits_keep_the_round_cap():
     assert reads == [identity]
 
 
-def _sliced(rows, fmt):
-    """Rows of {exponent: coefficient} entries over GF(3), sliced into
-    one pair of planes (p, m)."""
-    planes = [0, 0]
-    for i, row in enumerate(rows):
-        for j, ent in enumerate(row):
-            for e, c in ent.items():
-                planes[c - 1] |= 1 << (fmt.offs[i] + j * fmt.width + e)
-    return tuple(planes)
-
-
-def _packed(mat, fmt):
-    """A matrix over GF(2)[t] packed into one int."""
-    return _sliced(mat.rows, fmt)[0]
-
-
-def test_sliced_add_and_double_on_every_pair():
-    """A sibling layer whose column 0 is e0 + c e1 gives x + c y in
-    slot 0 for every pair of GF(3) elements, on both planes."""
-    # the edge out of [[x, y t, t], [0, 1, 0], [1, 0, 0]] at depth 1 has
-    # the target R = [[x t, y t, t], [0, 1, 0], [t, 0, 0]], already
-    # reduced; X = [[1, 0, 0], [c, 1, 0], [0, 0, 1]] takes R to the
-    # source [[(x + c y) t, y t, t], [c, 1, 0], [t, 0, 0]]
-    wk = building._Walker(F3, 3, 3)
-    for c in (1, 2):
-        recipe = (((0, 1, 0), (1, c, 0)), ((1, 1, 0),), ((2, 1, 0),))
-        wk.pieces, wk.moves = building._slot_moves([recipe], wk.fmt, 2)
-        for x in range(3):
-            for y in range(3):
-                want = F3.add_table[x][F3.mul_table[c][y]]
-                yt = {1: y} if y else {}
-                parent = [[{0: x} if x else {}, yt, {1: 1}], [{}, {0: 1}, {}], [{0: 1}, {}, {}]]
-                [edge] = wk._edges([_sliced(parent, wk.fmt)], 2)
-                target = [[{1: x} if x else {}, yt, {1: 1}], [{}, {0: 1}, {}], [{1: 1}, {}, {}]]
-                assert edge[1] == _sliced(target, wk.fmt)
-                assert edge[2] == [1, 0, 1]
-                [(mat, _, _)] = wk.successors(edge)
-                row0 = [{1: want} if want else {}, yt, {1: 1}]
-                assert mat == _sliced([row0, [{0: c}, {0: 1}, {}], [{1: 1}, {}, {}]], wk.fmt)
-
-
-@pytest.mark.parametrize("dim,max_depth", [(3, 4), (2, 6)])
-def test_sliced_walk_matches_table_path(dim, max_depth):
-    """The q = 3 walker's sliced rows, decoded, equal the rows the
-    general table path gives at every node of every word, and its plan
-    memo is in use."""
-    wk = building._Walker(F3, dim, max_depth)
-    assert wk.sliced
-    _walk_against_table_path(wk, max_depth)
-    assert any(plan is not None for plan in wk.plans.values())
-
-
-def test_sliced_reducer_keeps_the_round_cap():
-    """On sliced rows a seeded plan that never lowers the degree sum is
-    read sum(degs) - deg det + 1 times, then the reduction raises; a deg
-    det the reduced degrees do not add up to raises, and so do a zero
-    row and a step that cancels its row."""
-    w = 3
-    fmt = building._SlotFormat(F3, 3, w)
-    rb = fmt.row_bits
-    reads = []
-
-    class CountingPlans(dict):
-        def __getitem__(self, key):
-            reads.append(key)
-            return super().__getitem__(key)
-
-    # keys: row i's leading coefficients at bit i * rb, entry j's at j * w
-    # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1;
-    # the seeded plan for its singular leading coefficients keeps row 0
-    stuck = 1 << w | 1 << (rb + w) | 1 << (2 * rb + 2 * w)
-    identity = 1 | 1 << (rb + w) | 1 << (2 * rb + 2 * w)
-    assert fmt.plan(identity) is None and fmt.plan(stuck) is not None
-    plans = CountingPlans({stuck: ((0, False),), identity: None})
-    mat = _sliced([[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]], fmt)
-    with pytest.raises(InternalConsistencyError, match="did not finish"):
-        building._reduce_gf3(mat, 1, fmt, plans)
-    assert reads == [stuck, stuck]
-    reads.clear()
-    mat = _sliced([[{0: 1} if i == j else {} for j in range(3)] for i in range(3)], fmt)
-    with pytest.raises(InternalConsistencyError, match="do not sum"):
-        building._reduce_gf3(mat, -1, fmt, plans)
-    assert reads == [identity]
-    mat = _sliced([[{0: 1}, {}, {}], [{}, {}, {}], [{}, {}, {0: 1}]], fmt)
-    with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
-        building._reduce_gf3(mat, 0, fmt, plans)
-    # [[1, 0, 0], [2, 0, 0], [0, 0, 1]] and the plan row 0 + row 1
-    twice = 1 | 2 << rb | 1 << (2 * rb + 2 * w)
-    mat = _sliced([[{0: 1}, {}, {}], [{0: 2}, {}, {}], [{}, {}, {0: 1}]], fmt)
-    with pytest.raises(InternalConsistencyError, match="produced a zero row"):
-        building._reduce_gf3(mat, 0, fmt, {twice: ((0, False), (1, False))})
-
-
-def test_sliced_walk_refuses_a_depth_past_its_slots():
-    """Slots sized for depth 3 hold the straight word's t^3 and refuse a
-    fourth step rather than spill it into the next slot."""
-    wk = building._Walker(F3, 3, 3)
-    assert wk.fmt.width == 4
-    edge = wk.start()
-    for _ in range(2):
-        edge = wk.successors(edge)[0]
-    assert wk.to_matrix(edge[1]) == LaurentMatrix.diag_powers(F3, [3, 0, 0])
-    assert edge[2] == [3, 0, 0]
-    with pytest.raises(InternalConsistencyError, match="overflows"):
-        wk.successors(edge)
-
-
-def test_packed_walk_refuses_a_depth_past_its_slots():
-    """Slots sized for depth 3 hold the straight word's t^3 and refuse a
-    fourth step rather than spill it into the next slot."""
-    wk = building._Walker(F2, 3, 3)
-    assert wk.fmt.width == 4
-    edge = wk.start()
-    for _ in range(2):
-        edge = wk.successors(edge)[0]
-    assert wk.to_matrix(edge[1]) == LaurentMatrix.diag_powers(F2, [3, 0, 0])
-    assert edge[2] == [3, 0, 0]
-    with pytest.raises(InternalConsistencyError, match="overflows"):
-        wk.successors(edge)
-
-
 def test_reduction_stops_at_its_bound(monkeypatch):
     """A null vector that never lowers the degree sum is tried exactly
-    sum(degs) - deg det + 1 times, then the reduction raises, on the
-    table path and on a packed q = 2 matrix; a deg det the reduced
-    degrees do not add up to raises, and at q = 2 so do a zero row and a
-    step that cancels its row."""
+    sum(degs) - deg det + 1 times, then the reduction raises; a deg det
+    the reduced degrees do not add up to raises, and so do a zero row
+    and a step that cancels its row."""
     # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1
     m = LaurentMatrix(F3, [[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]])
     assert fast_invariant(m) == birkhoff_invariant(VertexClass(m)) == (1, 0)
@@ -793,28 +663,19 @@ def test_reduction_stops_at_its_bound(monkeypatch):
         fast_invariant(m)
     assert len(tries) == 2
 
-    class StuckPlans(dict):
-        def __getitem__(self, key):
-            tries.append(key)
-            return ((0, False),)  # keeps row 0 as it is
-
-    tries.clear()
-    fmt = building._SlotFormat(F2, 3, 3)
-    m = LaurentMatrix(F2, [[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]])
-    with pytest.raises(InternalConsistencyError, match="did not finish"):
-        building._reduce_gf2(_packed(m, fmt), 1, fmt, StuckPlans())
-    assert len(tries) == 2
-    identity = _packed(LaurentMatrix.identity(F2, 3), fmt)  # also its own key
+    # at q = 2, with seeded plans: a deg det the reduced degrees do not add
+    # up to, a zero row, and [[1, 0, 0], [1, 0, 0], [0, 0, 1]] with the
+    # plan row 0 + row 1
+    identity = [[[1] if i == j else [] for j in range(3)] for i in range(3)]
     with pytest.raises(InternalConsistencyError, match="do not sum"):
-        building._reduce_gf2(identity, -1, fmt, {identity: None})
-    zero = LaurentMatrix(F2, [[{0: 1}, {}, {}], [{}, {}, {}], [{}, {}, {0: 1}]])
+        building._reduce_rows(identity, -1, F2, {(1, 0, 0, 0, 1, 0, 0, 0, 1): None})
+    zero = [[[1], [], []], [[], [], []], [[], [], [1]]]
     with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
-        building._reduce_gf2(_packed(zero, fmt), 0, fmt, {})
-    # [[1, 0, 0], [1, 0, 0], [0, 0, 1]] and the plan row 0 + row 1
-    twice = LaurentMatrix(F2, [[{0: 1}, {}, {}], [{0: 1}, {}, {}], [{}, {}, {0: 1}]])
-    twice = _packed(twice, fmt)  # also its own key
+        building._reduce_rows(zero, 0, F2)
+    twice = [[[1], [], []], [[1], [], []], [[], [], [1]]]
+    key = (1, 0, 0, 1, 0, 0, 0, 0, 1)
     with pytest.raises(InternalConsistencyError, match="produced a zero row"):
-        building._reduce_gf2(twice, 0, fmt, {twice: ((0, False), (1, False))})
+        building._reduce_rows(twice, 0, F2, {key: ((0, 1), (1, 1))})
 
 
 def test_prefix_independence_short():

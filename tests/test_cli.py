@@ -124,6 +124,20 @@ def test_weights_config_from_oracle_equals_flag(tmp_path, capsys):
     assert from_file != run(capsys, "weights", "--q", "2", "--m-max", "3")[1]
 
 
+@pytest.mark.parametrize(
+    "word,source",
+    [("YES", "oracle census"), ("True", "oracle census"), ("1", "oracle census"),
+     ("no", "fold rule"), ("FALSE", "fold rule"), ("0", "fold rule")],
+)
+def test_from_oracle_config_spellings(tmp_path, capsys, word, source):
+    """``from_oracle`` takes 1/true/yes and 0/false/no in any case."""
+    cfg = tmp_path / "weights.conf"
+    cfg.write_text(f"q = 2\nm_max = 3\nfrom_oracle = {word}\n")
+    code, out, _ = run(capsys, "weights", "--config", str(cfg))
+    assert code == 0
+    assert f"({source}, m <= 3)" in out.splitlines()[0]
+
+
 def test_validate_exit_codes(capsys):
     code, out, _ = run(capsys, "validate", "--q", "2", "--steps", "3", "--m-max", "3")
     assert code == 0
@@ -216,39 +230,6 @@ def test_validate_capacity_limit_is_skip(capsys):
     assert "FAIL" not in out
 
 
-def test_count_oracle_starts_one_pool(monkeypatch, capsys):
-    """Every length's walk shares one pool, which is shut down before
-    the table prints; the bytes are those of a single-process run."""
-    import concurrent.futures
-
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.closed = False
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.closed = True
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    argv = ("count", "--method", "oracle", "--q", "2", "--steps", "9")
-    code, single, _ = run(capsys, *argv, "--threads", "1")
-    assert code == 0
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    code, split, _ = run(capsys, *argv, "--threads", "2")
-    assert code == 0
-    assert len(pools) == 1
-    assert pools[0].closed
-    assert split == single
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -285,6 +266,7 @@ def test_unsupported_format_refused_before_any_work(monkeypatch, capsys, argv):
         ("q = 2\nsteps 6\n", "weights.conf:2: expected key = value"),
         ("q = 2\ncolour = red\n", "unknown config key 'colour'"),
         ("q = 2\nsteps = x\n", "bad value for 'steps': 'x'"),
+        ("q = 2\nfrom_oracle = ture\n", "bad value for 'from_oracle': 'ture'"),
     ],
 )
 def test_bad_config_file_exit_2(tmp_path, capsys, body, message):

@@ -165,32 +165,3 @@ def test_oracle_fault_fails_every_reader(monkeypatch):
         assert not by_name[name].passed
         assert not by_name[name].skipped
         assert by_name[name].detail == "InternalConsistencyError: walk broke"
-
-
-def test_validation_starts_one_pool(monkeypatch):
-    """Every walk that splits over --threads shares one pool, which is
-    shut down when the run returns."""
-    import concurrent.futures
-
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.closed = False
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.closed = True
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    results = crosscheck.run_validation(crosscheck.ValidationConfig(q=2, steps=6, threads=2))
-    assert [r.name for r in results if not r.passed] == []
-    assert len(pools) == 1
-    assert pools[0].closed

@@ -105,6 +105,11 @@ def _cases() -> dict[str, list[str]]:
     cases["count-q3-oracle-f-steps6-json"] = [
         "count", "--method", "oracle", "--kind", "f", "--q", "3", "--steps", "6", "--format", "json",
     ]
+    # a walk only the merged oracle finishes (q^12 = 244,140,625 words)
+    cases["count-q5-oracle-g-steps6-csv"] = [
+        "count", "--method", "oracle", "--q", "5", "--steps", "6", "--max-leaves", "244140625",
+        "--format", "csv",
+    ]
     # the DP at large q and long horizons
     cases["count-q9973-dp-N-steps30-csv"] = [
         "count", "--method", "dp", "--kind", "N", "--q", "9973", "--steps", "30", "--format", "csv",
