@@ -644,6 +644,42 @@ def test_memo_hits_keep_the_round_cap():
     assert reads == [identity]
 
 
+def test_sliced_reducer_keeps_the_round_cap():
+    """At q = 3 a seeded plan that never lowers the degree sum is read
+    sum(degs) - deg det + 1 times, then the reduction raises; a deg det
+    the reduced degrees do not add up to raises, and so do a zero row
+    and a step that cancels its row."""
+    reads = []
+
+    class CountingPlans(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1;
+    # the seeded plan for its singular leading coefficients keeps row 0
+    stuck = (0, 1, 0, 0, 1, 0, 0, 0, 1)
+    identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    plans = CountingPlans({stuck: ((0, 1),), identity: None})
+    rows = [[[0, 1], [0, 0, 1], []], [[], [1], []], [[], [], [1]]]
+    with pytest.raises(InternalConsistencyError, match="did not finish"):
+        building._reduce_rows(rows, 1, F3, plans)
+    assert reads == [stuck, stuck]
+    reads.clear()
+    rows = [[[1] if i == j else [] for j in range(3)] for i in range(3)]
+    with pytest.raises(InternalConsistencyError, match="do not sum"):
+        building._reduce_rows(rows, -1, F3, plans)
+    assert reads == [identity]
+    zero = [[[1], [], []], [[], [], []], [[], [], [1]]]
+    with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
+        building._reduce_rows(zero, 0, F3, plans)
+    # [[1, 0, 0], [2, 0, 0], [0, 0, 1]] and the plan row 0 + row 1
+    twice = [[[1], [], []], [[2], [], []], [[], [], [1]]]
+    key = (1, 0, 0, 2, 0, 0, 0, 0, 1)
+    with pytest.raises(InternalConsistencyError, match="produced a zero row"):
+        building._reduce_rows(twice, 0, F3, {key: ((0, 1), (1, 1))})
+
+
 def test_reduction_stops_at_its_bound(monkeypatch):
     """A null vector that never lowers the degree sum is tried exactly
     sum(degs) - deg det + 1 times, then the reduction raises; a deg det
