@@ -120,6 +120,13 @@ def _cases() -> dict[str, list[str]]:
     cases["count-q3-dp-g-steps60"] = [
         "count", "--method", "dp", "--kind", "g", "--q", "3", "--steps", "60",
     ]
+    # a taboo sweep on a non-prime field, and a longer profile
+    cases["count-q8-dp-f-steps60-json"] = [
+        "count", "--method", "dp", "--kind", "f", "--q", "8", "--steps", "60", "--format", "json",
+    ]
+    cases["count-q4-dp-N-steps36-csv"] = [
+        "count", "--method", "dp", "--kind", "N", "--q", "4", "--steps", "36", "--format", "csv",
+    ]
     return cases
 
 
