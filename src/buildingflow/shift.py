@@ -314,41 +314,76 @@ def stencils(q: int) -> dict[tuple[tuple[int, int], str], tuple[tuple[int, int, 
     return out
 
 
-class _SuccessorTable(dict):
-    """(k2, l2) -> successor keys with their weights at one q, each
-    worked out on first sight.  The parities of k2 and l2 give the
-    incoming displacement (see ``QuotientEdge.from_doubled``), and with
-    it the target (m, n) and its local case."""
+class _VertexRows(dict):
+    """(m, n) -> the outgoing edges of a sector vertex at one q, each as
+    (key, target vertex, slot of its displacement, w_R, w_U, w_D), worked
+    out on first sight.  The edge's count is w_R*c_R + w_U*c_U + w_D*c_D
+    over the counts of the edges into (m, n): the weights are the
+    stencils of the vertex's local case, one per incoming displacement,
+    read column-wise.  A successor at offset (dk, dl) from (2m, 2n) has
+    displacement (dk, dl) and target (m + dk, n + dl)."""
 
     def __init__(self, q: int):
         super().__init__()
-        self.stencils = stencils(q)
+        weights: dict[tuple[str, int, int], list[int]] = {}
+        for (din, case), stencil in stencils(q).items():
+            for dk, dl, w in stencil:
+                weights.setdefault((case, dk, dl), [0, 0, 0])[DISPLACEMENTS.index(din)] = w
+        self.cases: dict[str, list[tuple[int, ...]]] = {}
+        for (case, dk, dl), w in weights.items():
+            self.cases.setdefault(case, []).append((dk, dl, DISPLACEMENTS.index((dk, dl)), *w))
 
-    def __missing__(self, key: tuple[int, int]):
-        k2, l2 = key
-        ko, lo = k2 % 2, l2 % 2
-        din = (ko, lo) if ko != lo else (-ko, -lo)
-        m, n = (k2 + din[0]) // 2, (l2 + din[1]) // 2
+    def __missing__(self, v: tuple[int, int]):
+        m, n = v
         case = ("axis" if m else "origin") if n == 0 else "diagonal" if m == n else "interior"
-        stencil = self.stencils.get((din, case)) if m >= n >= 0 else None
-        if stencil is None:
-            raise ValueError(f"(k2, l2) = ({k2}, {l2}) names no edge")
-        succs = self[key] = tuple(((2 * m + dk, 2 * n + dl), w) for dk, dl, w in stencil)
-        return succs
+        rows = self[v] = tuple(
+            ((2 * m + dk, 2 * n + dl), (m + dk, n + dl), slot, w_r, w_u, w_d)
+            for dk, dl, slot, w_r, w_u, w_d in self.cases[case]
+        )
+        return rows
 
 
-_successor_table = lru_cache(maxsize=None)(_SuccessorTable)
+_vertex_rows = lru_cache(maxsize=None)(_VertexRows)
+
+#: The DP state between steps: target vertex (m, n) -> the counts
+#: [c_R, c_U, c_D] of its incoming edges, one per displacement.
+VertexGroups = dict[tuple[int, int], list[int]]
+
+
+def _group(profile: CountProfile) -> VertexGroups:
+    """A profile's counts grouped by the target vertex of each edge."""
+    groups: VertexGroups = {}
+    for (k2, l2), c in profile.items():
+        e = QuotientEdge.from_doubled(k2, l2)
+        groups.setdefault(e.target, [0, 0, 0])[DISPLACEMENTS.index(e.displacement)] = c
+    return groups
+
+
+def _advance(groups: VertexGroups, q: int) -> tuple[CountProfile, VertexGroups]:
+    """One DP step, the only one: every outgoing edge of a live vertex
+    gets its weighted sum of the vertex's incoming counts.  An edge has
+    one source vertex, so each new count is stored once, into the
+    profile and into its target's group.  Zero sums are left out, as
+    no lifted path ends on such an edge."""
+    rows = _vertex_rows(q)
+    prof: CountProfile = {}
+    nxt: VertexGroups = {}
+    get = nxt.get
+    for v, (c_r, c_u, c_d) in groups.items():
+        for key, t, slot, w_r, w_u, w_d in rows[v]:
+            c = w_r * c_r + w_u * c_u + w_d * c_d
+            if c:
+                prof[key] = c
+                g = get(t)
+                if g is None:
+                    g = nxt[t] = [0, 0, 0]
+                g[slot] = c
+    return prof, nxt
 
 
 def dp_step(profile: CountProfile, q: int) -> CountProfile:
-    """One DP step: each edge's count moves along its stencil."""
-    table = _successor_table(q)
-    out: CountProfile = {}
-    get = out.get
-    for key, c in profile.items():
-        for s, w in table[key]:
-            out[s] = get(s, 0) + c * w
-    return out
+    """One DP step from any profile; keys that name no edge are refused."""
+    return _advance(_group(profile), q)[0]
 
 
 def dp_sweep(q: int, steps: int, taboo: bool = False) -> Iterator[CountProfile]:
@@ -357,17 +392,17 @@ def dp_sweep(q: int, steps: int, taboo: bool = False) -> Iterator[CountProfile]:
     the total mass after s steps is exactly q^(2s).
 
     With ``taboo`` (first returns) the base-edge mass is dropped from
-    the profile after it has been yielded, from step 1 on; the yielded
-    dicts themselves are never changed afterwards.
+    the next step's input after its profile has been yielded, from step
+    1 on; the yielded dicts themselves are never changed afterwards.
     """
     prof: CountProfile = {BASE_KEY: 1}
+    groups = _group(prof)
     yield prof
     for _ in range(steps):
-        prof = dp_step(prof, q)
+        prof, groups = _advance(groups, q)
         yield prof
         if taboo and BASE_KEY in prof:
-            prof = dict(prof)
-            del prof[BASE_KEY]
+            groups[1, 0][0] = 0  # the base edge enters (1, 0) by R
 
 
 def dp_profiles(q: int, steps: int) -> list[dict[QuotientEdge, int]]:

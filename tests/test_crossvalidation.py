@@ -119,14 +119,14 @@ def test_internal_error_type_exposed():
 
 def test_period_zero_checks_run_the_dp(monkeypatch):
     """Mass leaked onto the base edge off the period-3 grid must show."""
-    real_step = shift.dp_step
+    real_advance = shift._advance
 
-    def leaky_step(profile, q):
-        out = real_step(profile, q)
+    def leaky_advance(groups, q):
+        out, nxt = real_advance(groups, q)
         out[shift.BASE_KEY] = out.get(shift.BASE_KEY, 0) + 1
-        return out
+        return out, nxt
 
-    monkeypatch.setattr(shift, "dp_step", leaky_step)
+    monkeypatch.setattr(shift, "_advance", leaky_advance)
     assert shift.dp_g(2, 4) != 0
     cfg = crosscheck.ValidationConfig(q=2, steps=3, m_max=2, max_leaves=1, prefix_len=1)
     by_name = {r.name: r for r in crosscheck.run_validation(cfg)}

@@ -1,5 +1,6 @@
 """Quotient shift: fold rule, transitions, weight table, and the DP."""
 
+import copy
 import json
 
 import pytest
@@ -217,7 +218,7 @@ def _stencil_of(k2, l2):
 def test_stencil_successors_equal_edge_transitions(q):
     for e in shift.all_valid_edges(40):
         want = sorted((s.k2, s.l2, w) for s, w in shift.edge_transitions(e, q).items())
-        got = sorted((k2, l2, w) for (k2, l2), w in shift._successor_table(q)[e.k2, e.l2])
+        got = sorted((k2, l2, w) for (k2, l2), w in shift.dp_step({(e.k2, e.l2): 1}, q).items())
         assert got == want, e
 
 
@@ -228,13 +229,38 @@ def test_successors_refuse_what_names_no_edge():
                 QuotientEdge.from_doubled(k2, l2)
             except ValueError:
                 with pytest.raises(ValueError, match="names no edge"):
-                    shift._successor_table(2)[k2, l2]
+                    shift.dp_step({(k2, l2): 1}, 2)
 
 
 def test_sweep_to_six_hits_every_stencil():
     stepped = {_stencil_of(*key) for p in list(shift.dp_sweep(2, 6))[:-1] for key in p}
     assert len(shift.stencils(2)) == 8
     assert stepped == set(shift.stencils(2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 9973])
+def test_vertices_write_disjoint_edges(q):
+    """Every edge has one source vertex, so the step stores each new
+    count once: no two vertices list the same outgoing edge, and each
+    listed edge leaves its vertex for the listed target and slot."""
+    seen = {}
+    for m in range(41):
+        for n in range(m + 1):
+            for key, t, slot, *_ in shift._vertex_rows(q)[m, n]:
+                assert seen.setdefault(key, (m, n)) == (m, n), key
+                e = QuotientEdge.from_doubled(*key)
+                assert (e.source, e.target) == ((m, n), t)
+                assert e.displacement == shift.DISPLACEMENTS[slot]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_taboo_sweep_never_changes_a_yielded_dict(q):
+    yielded, during = [], []
+    for p in shift.dp_sweep(q, 30, taboo=True):
+        yielded.append(p)
+        during.append(copy.deepcopy(p))
+    assert yielded == during
+    assert [n for n, p in enumerate(yielded) if shift.BASE_KEY in p] == list(range(0, 31, 3))
 
 
 @pytest.fixture
@@ -245,7 +271,7 @@ def fresh_rule_caches():
     def clear():
         shift.edge_transitions.cache_clear()
         shift.stencils.cache_clear()
-        shift._successor_table.cache_clear()
+        shift._vertex_rows.cache_clear()
 
     clear()
     yield
@@ -278,7 +304,7 @@ def test_stencils_are_derived_from_the_rule(monkeypatch, fresh_rule_caches):
     monkeypatch.setitem(rule, (R, D), (0, 1, -1))
     shift.edge_transitions.cache_clear()
     shift.stencils.cache_clear()
-    shift._successor_table.cache_clear()
+    shift._vertex_rows.cache_clear()
     assert interior(R) == {**before, U: q * q - q, D: q - 1} != before
     assert shift.dp_step({(3, 2): 1}, q) == {(5, 2): 1, (4, 3): q * q - q, (3, 1): q - 1}
 
@@ -299,7 +325,7 @@ def _reference_sweep(q, steps, taboo):
 
 
 @pytest.mark.parametrize("taboo", [False, True])
-@pytest.mark.parametrize("q", [2, 3, 9973])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 9973])
 def test_sweep_equals_reference_sweep(q, taboo):
     ref = [{(e.k2, e.l2): c for e, c in p.items()} for p in _reference_sweep(q, 30, taboo)]
     assert list(shift.dp_sweep(q, 30, taboo)) == ref
