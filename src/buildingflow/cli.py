@@ -238,7 +238,7 @@ def _check_lines(results, ok: bool):
         line = f"{status:4} {r.name}"
         if not r.passed:
             line += f"  expected={r.expected}  actual={r.actual}"
-        if r.detail and (not r.passed or r.skipped):
+        if r.detail and (not r.passed or r.skipped or r.cut_short):
             line += f"  [{r.detail}]"
         yield line
     yield (

@@ -26,6 +26,11 @@ class CheckResult:
     actual: str = ""
     detail: str = ""
 
+    @property
+    def cut_short(self) -> bool:
+        """Passed on the lengths the leaf budget let run, not on all."""
+        return self.passed and not self.skipped and "budget" in self.detail
+
 
 @dataclass
 class ValidationConfig:

@@ -60,6 +60,8 @@ def _cases() -> dict[str, list[str]]:
             "validate", "--q", "2", "--steps", "3", "--m-max", "3", "--max-leaves", "3",
             "--format", fmt,
         ]
+    # checks the leaf budget runs for some n but not all: PASS with [detail]
+    cases["validate-q4-human"] = ["validate", "--q", "4", "--format", "human"]
     for fmt in _FORMATS:
         cases[f"entropy-q2-{fmt}"] = ["entropy", "--q", "2", "--format", fmt]
     for fmt in ("dot", "json"):
