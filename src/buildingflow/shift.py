@@ -325,41 +325,42 @@ class _VertexRows(dict):
 
     def __init__(self, q: int):
         super().__init__()
-        weights: dict[tuple[str, int, int], list[int]] = {}
+        self.cases: dict[str, dict[tuple[int, int], list[int]]] = {}
         for (din, case), stencil in stencils(q).items():
             for dk, dl, w in stencil:
-                weights.setdefault((case, dk, dl), [0, 0, 0])[DISPLACEMENTS.index(din)] = w
-        self.cases: dict[str, list[tuple[int, ...]]] = {}
-        for (case, dk, dl), w in weights.items():
-            self.cases.setdefault(case, []).append((dk, dl, DISPLACEMENTS.index((dk, dl)), *w))
+                by_offset = self.cases.setdefault(case, {})
+                by_offset.setdefault((dk, dl), [0, 0, 0])[DISPLACEMENTS.index(din)] = w
 
     def __missing__(self, v: tuple[int, int]):
         m, n = v
         case = ("axis" if m else "origin") if n == 0 else "diagonal" if m == n else "interior"
         rows = self[v] = tuple(
-            ((2 * m + dk, 2 * n + dl), (m + dk, n + dl), slot, w_r, w_u, w_d)
-            for dk, dl, slot, w_r, w_u, w_d in self.cases[case]
+            ((2 * m + dk, 2 * n + dl), (m + dk, n + dl), DISPLACEMENTS.index((dk, dl)), *w)
+            for (dk, dl), w in self.cases[case].items()
         )
         return rows
 
 
 _vertex_rows = lru_cache(maxsize=None)(_VertexRows)
 
-#: The DP state between steps: target vertex (m, n) -> the counts
-#: [c_R, c_U, c_D] of its incoming edges, one per displacement.
-VertexGroups = dict[tuple[int, int], list[int]]
+
+@lru_cache(maxsize=None)
+def _target_slot(k2: int, l2: int) -> tuple[QVertex, int]:
+    e = QuotientEdge.from_doubled(k2, l2)
+    return e.target, DISPLACEMENTS.index(e.displacement)
 
 
-def _group(profile: CountProfile) -> VertexGroups:
-    """A profile's counts grouped by the target vertex of each edge."""
-    groups: VertexGroups = {}
-    for (k2, l2), c in profile.items():
-        e = QuotientEdge.from_doubled(k2, l2)
-        groups.setdefault(e.target, [0, 0, 0])[DISPLACEMENTS.index(e.displacement)] = c
+def _group(profile: CountProfile) -> dict[tuple[int, int], list[int]]:
+    """The DP state between steps: a profile's counts grouped by target
+    vertex, (m, n) -> [c_R, c_U, c_D], one per incoming displacement."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for key, c in profile.items():
+        t, slot = _target_slot(*key)
+        groups.setdefault(t, [0, 0, 0])[slot] = c
     return groups
 
 
-def _advance(groups: VertexGroups, q: int) -> tuple[CountProfile, VertexGroups]:
+def _advance(groups: dict, q: int) -> tuple[CountProfile, dict]:
     """One DP step, the only one: every outgoing edge of a live vertex
     gets its weighted sum of the vertex's incoming counts.  An edge has
     one source vertex, so each new count is stored once, into the
@@ -367,7 +368,7 @@ def _advance(groups: VertexGroups, q: int) -> tuple[CountProfile, VertexGroups]:
     no lifted path ends on such an edge."""
     rows = _vertex_rows(q)
     prof: CountProfile = {}
-    nxt: VertexGroups = {}
+    nxt: dict[tuple[int, int], list[int]] = {}
     get = nxt.get
     for v, (c_r, c_u, c_d) in groups.items():
         for key, t, slot, w_r, w_u, w_d in rows[v]:
