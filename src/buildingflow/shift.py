@@ -361,11 +361,11 @@ def _group(profile: CountProfile) -> dict[tuple[int, int], list[int]]:
 
 
 def _advance(groups: dict, q: int) -> tuple[CountProfile, dict]:
-    """One DP step, the only one: every outgoing edge of a live vertex
-    gets its weighted sum of the vertex's incoming counts.  An edge has
-    one source vertex, so each new count is stored once, into the
-    profile and into its target's group.  Zero sums are left out, as
-    no lifted path ends on such an edge."""
+    """One DP step, for ``dp_sweep`` and ``dp_step`` alike: every
+    outgoing edge of a live vertex gets its weighted sum of the vertex's
+    incoming counts.  An edge has one source vertex, so each new count
+    is stored once, into the profile and into its target's group.  Zero
+    sums are left out, as no lifted path ends on such an edge."""
     rows = _vertex_rows(q)
     prof: CountProfile = {}
     nxt: dict[tuple[int, int], list[int]] = {}
