@@ -112,6 +112,15 @@ def _cases() -> dict[str, list[str]]:
         "count", "--method", "oracle", "--q", "5", "--steps", "6", "--max-leaves", "244140625",
         "--format", "csv",
     ]
+    # first returns through states far from the origin, dim 3 and dim 2
+    cases["count-q2-oracle-f-steps12-csv"] = [
+        "count", "--method", "oracle", "--kind", "f", "--q", "2", "--steps", "12",
+        "--max-leaves", "16777216", "--format", "csv",
+    ]
+    cases["count-pgl2-q2-oracle-f-steps16-json"] = [
+        "count", "--flow", "pgl2", "--method", "oracle", "--kind", "f", "--q", "2",
+        "--steps", "16", "--format", "json",
+    ]
     # the DP at large q and long horizons
     cases["count-q9973-dp-N-steps30-csv"] = [
         "count", "--method", "dp", "--kind", "N", "--q", "9973", "--steps", "30", "--format", "csv",
