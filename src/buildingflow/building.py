@@ -602,6 +602,13 @@ def _at_origin(degs) -> bool:
     return max(degs) == min(degs)
 
 
+def _m_of(degs) -> int:
+    """The m of a target of row degrees degs: the first entry of its
+    ``_pair_from_degs`` pair (dim 3), or the pair itself (dim 2); 0
+    exactly at the origin."""
+    return max(degs) - min(degs)
+
+
 class _Walker:
     """Shared state for walking type-1 edges by continuation words.
 
@@ -675,31 +682,52 @@ class _Walker:
             if depth + 1 < limit:
                 stack += reversed(succs)
 
-    def merged(self, root, limit):
+    def merged(self, root, limit, horizon=None):
         """Level by level from ``root``, one edge per orbit of targets:
         yields (depth, edge, words, free, its successors) for every state
-        of depth < limit.  A state stands for the ``words`` edges of its
-        depth whose targets have its Popov form (``_popov``), ``free`` of
-        them with no earlier edge's target at the origin.  Everything
-        below an edge depends only on its target's orbit, since the moves
-        act on the right and reduction on the left.  The successors of
-        depth < limit are merged into the next level: each adds words, and
-        free unless the state's own target is the origin.  So each state
-        is expanded once, and the last successors are left unmerged."""
-        level = [(root, 1, 1)]
+        of depth < limit that ``horizon`` keeps.  A state stands for the
+        ``words`` edges of its depth whose targets have its Popov form
+        (``_popov``), ``free`` of them with no earlier edge's target at
+        the origin.  Everything below an edge depends only on its target's
+        orbit, since the moves act on the right and reduction on the left.
+        The successors of depth < limit are merged into the next level:
+        each adds words, and free unless the state's own target is the
+        origin.  So each state is expanded once, and the last successors
+        are left unmerged.
+
+        With ``horizon`` h, a state of depth d whose target has m > h - d
+        (``_m_of``) is not expanded, and a successor that would be so at
+        its own depth is not merged.  Below such a state no edge of depth
+        <= h has its target at the origin: the targets of an edge and of
+        each of its continuations are adjacent vertices (the continuation
+        starts at the edge's target), the Birkhoff exponents of adjacent
+        vertices differ by 0 or 1 each, up to a common shift, and so m
+        falls by at most 1 per step, from m > h - d to m > h - d - j >= 0
+        at depth d + j <= h.  The walk checks that fact on every successor
+        it reduces and raises ``InternalConsistencyError`` where m falls
+        by more."""
+        bound = float("inf") if horizon is None else horizon
+        level = [(root, 1, 1)] if _m_of(root[2]) <= bound else []
         for depth in range(limit):
             nxt: dict = {}
             for edge, words, free in level:
+                m = _m_of(edge[2])
                 succs = self.successors(edge)
+                ms = [_m_of(d) for _, _, d in succs]
+                if min(ms) < m - 1:
+                    raise InternalConsistencyError(
+                        f"m fell from {m} to {min(ms)} in one step at depth {depth}"
+                    )
                 yield depth, edge, words, free, succs
                 if depth + 1 == limit:
                     continue
-                if _at_origin(edge[2]):
+                if not m:
                     free = 0
-                for succ in succs:
-                    state = nxt.setdefault(_popov(succ[1], succ[2], self.field), [succ, 0, 0])
-                    state[1] += words
-                    state[2] += free
+                for succ, m_succ in zip(succs, ms):
+                    if m_succ < bound - depth:
+                        state = nxt.setdefault(_popov(succ[1], succ[2], self.field), [succ, 0, 0])
+                        state[1] += words
+                        state[2] += free
             level = nxt.values()
 
     def to_matrix(self, rows) -> LaurentMatrix:
@@ -721,8 +749,8 @@ def _count_run(field: FiniteField, dim: int, n: int) -> tuple[int, int]:
     at the origin, first-return also forbids interior visits.  A word
     ends at the target of the edge of its first n - 1 moves, so each
     edge at depth n - 1 whose target is the origin counts q^2 words, and
-    the walk reduces only the edges of depth < n.  The reference that
-    the merged walk of ``oracle_g_f`` is held against."""
+    the walk reduces only the edges of depth < n.  The reference, with
+    no merge and no prune, that ``oracle_returns`` is held against."""
     wk = _Walker(field, dim)
     width, last = len(wk.moves), n - 1
     root = wk.start()
@@ -755,19 +783,22 @@ def _field_for(q: int, field: FiniteField | None) -> FiniteField:
     return field
 
 
-def oracle_g_f(
+def oracle_returns(
     q: int,
     n: int,
     dim: int = 3,
     max_leaves: int = DEFAULT_MAX_LEAVES,
     field: FiniteField | None = None,
-) -> tuple[int, int]:
-    """(closed, first-return) cycle counts over the origin of length n,
-    over every word, in one merged walk (``_Walker.merged``).  Refuses
-    runs whose leaf count q^(2n) (dim 3) or q^n (dim 2) exceeds
-    ``max_leaves``.  A word ends at the target of the edge of its first
-    n - 1 moves, so g and f are q^2 (q in dim 2) times the words and the
-    free words of the depth-(n - 1) edges whose target is the origin."""
+) -> list[tuple[int, int]]:
+    """(closed, first-return) cycle counts over the origin for every
+    length 0 .. n, entry L for length L, over every word, in one merged
+    walk (``_Walker.merged``) that drops the states which cannot return
+    by length n.  Refuses runs whose leaf count q^(2n) (dim 3) or q^n
+    (dim 2) exceeds ``max_leaves``.  A word of length L ends at the
+    target of the edge of its first L - 1 moves, so g and f at L are q^2
+    (q in dim 2) times the words and the free words of the depth-(L - 1)
+    edges whose target is the origin; the empty word counts once, as in
+    ``shift.dp_sweep``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     field = _field_for(q, field)
@@ -777,15 +808,25 @@ def oracle_g_f(
     wk = _Walker(field, dim)
     width = len(wk.moves)
     root = wk.start()
-    if n == 1:  # the words end at the base edge's target
-        return (width, width) if _at_origin(root[2]) else (0, 0)
-    g_total = f_total = 0
-    for depth, (_, _, degs), words, free, succs in wk.merged(root, n - 1):
-        if depth == n - 2:
-            ends = width * sum(_at_origin(d) for _, _, d in succs)
-            g_total += ends * words
-            f_total += 0 if _at_origin(degs) else ends * free
-    return g_total, f_total
+    g, f = [1] + [0] * n, [1] + [0] * n
+    g[1] = f[1] = width if _at_origin(root[2]) else 0  # the base edge's target
+    for depth, (_, _, degs), words, free, succs in wk.merged(root, n - 1, horizon=n - 1):
+        ends = width * sum(_at_origin(d) for _, _, d in succs)
+        g[depth + 2] += ends * words
+        f[depth + 2] += 0 if _at_origin(degs) else ends * free
+    return list(zip(g, f))
+
+
+def oracle_g_f(
+    q: int,
+    n: int,
+    dim: int = 3,
+    max_leaves: int = DEFAULT_MAX_LEAVES,
+    field: FiniteField | None = None,
+) -> tuple[int, int]:
+    """(closed, first-return) cycle counts over the origin of length n
+    (see ``oracle_returns``)."""
+    return oracle_returns(q, n, dim, max_leaves, field)[n]
 
 
 def oracle_counts(

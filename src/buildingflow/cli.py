@@ -167,7 +167,14 @@ def _count_rows(args) -> list[tuple[int, int]]:
         closed = analysis.closed_f if first_return else analysis.closed_g
         return [(n, closed(args.q, n)) for n in ns]
     dim = 3 if args.flow == "pgl3" else 2
-    return [(n, building.oracle_g_f(args.q, n, dim, args.max_leaves)[first_return]) for n in ns]
+    for n in ns:  # refuse at the table's first length over budget, before the walk
+        leaves = building.oracle_leaves(args.q, n, dim)
+        if leaves > args.max_leaves:
+            raise BudgetExceededError(leaves, args.max_leaves)
+    if not ns:
+        return []
+    walked = building.oracle_returns(args.q, ns[-1], dim, args.max_leaves)
+    return [(n, walked[n][first_return]) for n in ns]
 
 
 def _profile_rows(args) -> list[tuple[int, int, int]]:

@@ -85,16 +85,23 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     grid = [3 * n for n in ns]
     oracle_ns = [n for n in range(3, cfg.steps + 1, 3)]
     base = shift.BASE_KEY
+    # The lengths each oracle check runs, each check under its own leaf
+    # budget: the g and f checks and the tree check under max_leaves, the
+    # period probes under a tighter sub-budget.
+    leaves = building.oracle_leaves
+    probe_budget = min(cfg.max_leaves, 1_000_000)
+    oracle_ran = [n for n in oracle_ns if leaves(q, n) <= cfg.max_leaves]
+    probe_ran = [n for n in (1, 2, 4, 5) if leaves(q, n) <= probe_budget]
+    tree_ran = [n for n in (2, 4, 6) if leaves(q, n, 2) <= cfg.max_leaves]
+    reach = {3: max(oracle_ran + probe_ran, default=1), 2: max(tree_ran, default=1)}
     # One DP sweep per kind (closed, first-return) to the longest n any
     # check reads (N_12 for three_step_recursion), and one oracle walk per
-    # (n, dim), each made inside the first check that needs it.  A fault
-    # is that check's FAIL, and every later reader's too: functools.cache
-    # keeps no exceptions.
-    horizon = max(
-        [12, *grid] + [n for n in oracle_ns if building.oracle_leaves(q, n) <= cfg.max_leaves]
-    )
+    # dim to the longest n any check runs, each made inside the first
+    # check that needs it.  A fault is that check's FAIL, and every later
+    # reader's too: functools.cache keeps no exceptions.
+    horizon = max([12, *grid, *oracle_ran])
     sweep = functools.cache(lambda taboo: list(shift.dp_sweep(q, horizon, taboo)))
-    walk = functools.cache(lambda n, dim: building.oracle_g_f(q, n, dim, cfg.max_leaves))
+    walk = functools.cache(lambda dim: building.oracle_returns(q, reach[dim], dim, cfg.max_leaves))
 
     def counts(steps: list[int], taboo: bool = False) -> list[int]:
         return [sweep(taboo)[n].get(base, 0) for n in steps]
@@ -313,15 +320,15 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     for name, first_return in (("oracle_vs_dp_g", False), ("oracle_vs_dp_f", True)):
 
         def oracle_check(name=name, first_return=first_return):
-            ran = [n for n in oracle_ns if building.oracle_leaves(q, n) <= cfg.max_leaves]
+            ran = oracle_ran
             detail = ", ".join(
-                f"n={n} needs {building.oracle_leaves(q, n)} leaves" for n in oracle_ns if n not in ran
+                f"n={n} needs {leaves(q, n)} leaves" for n in oracle_ns if n not in ran
             )
             detail = detail and "skipped (budget): " + detail
             if not ran:
                 return CheckResult(name, True, skipped=True, detail=detail or "no n within budget")
             # the walk gives (closed, first-return): index 0 or 1
-            got = [walk(n, 3)[first_return] for n in ran]
+            got = [walk(3)[n][first_return] for n in ran]
             return _agree(name, ran, got, counts(ran, first_return), detail or f"n={ran}")
 
         results.append(_check(name, oracle_check))
@@ -329,13 +336,11 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     def oracle_period():
         bad = []
         skipped_n = []
-        # sanity probes get a tighter sub-budget than the main oracle runs
-        probe_budget = min(cfg.max_leaves, 1_000_000)
         for n in (1, 2, 4, 5):
-            if building.oracle_leaves(q, n) > probe_budget:
+            if n not in probe_ran:
                 skipped_n.append(n)
                 continue
-            got = walk(n, 3)[0]
+            got = walk(3)[n][0]
             if got:
                 bad.append((n, got))
         if skipped_n and not bad:
@@ -378,12 +383,12 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     results.append(_check("spr_margin", spr))
 
     def pgl2():
-        ran = [n for n in (2, 4, 6) if building.oracle_leaves(q, n, 2) <= cfg.max_leaves]
+        ran = tree_ran
         skipped_n = [n for n in (2, 4, 6) if n not in ran]
         detail = f"budget-skipped n={skipped_n}" if skipped_n else ""
         if not ran:
             return CheckResult("pgl2_closed_vs_oracle", True, skipped=True, detail=detail)
-        got = [walk(n, 2) for n in ran]
+        got = [walk(2)[n] for n in ran]
         want = [(analysis.pgl2_closed(q, n, "g"), analysis.pgl2_closed(q, n, "f")) for n in ran]
         expected = f"tree oracle = closed tree counts, n={ran}"
         return _agree("pgl2_closed_vs_oracle", ran, got, want, detail, expected)

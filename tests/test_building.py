@@ -1,5 +1,6 @@
 """Building-side ground truth: classes, neighbors, invariants, oracle."""
 
+import functools
 import random
 from collections import Counter
 
@@ -434,18 +435,19 @@ def test_prefix_sweep_reduction_count(monkeypatch):
     assert len(calls) == 820 == sum(9**k for k in range(4))
 
 
-@pytest.mark.parametrize("q,n,reductions", [(2, 9, 1261), (3, 6, 370)])
+@pytest.mark.parametrize("q,n,reductions", [(2, 9, 725), (3, 6, 217)])
 def test_merged_walk_reduces_once_per_state(q, n, reductions, monkeypatch):
     """The merged count reduces the base edge and the q^2 continuations
-    of each state it expands, one per orbit of targets at depth < n - 1:
-    1,261 reductions at (2, 9) where the exhaustive walk makes 87,381,
-    and 370 at (3, 6) against 66,430."""
+    of each state it expands, one per orbit of targets at depth < n - 1
+    that can still return by length n: 725 reductions at (2, 9) where
+    the unpruned merged walk makes 1,261 and the exhaustive walk 87,381,
+    and 217 at (3, 6) against 370 and 66,430."""
     calls = _counting_reducer(monkeypatch)
     assert building.oracle_g_f(q, n) == (shift.dp_g(q, n), shift.dp_f(q, n))
     assert len(calls) == reductions
     calls.clear()
     wk = building._Walker(FiniteField(q), 3)
-    states = sum(1 for _ in wk.merged(wk.start(), n - 1))
+    states = sum(1 for _ in wk.merged(wk.start(), n - 1, horizon=n - 1))
     assert len(calls) == 1 + q * q * states == reductions
 
 
@@ -458,12 +460,70 @@ _MERGED_CASES = [
 ]
 
 
+@functools.cache
+def _exhaustive_g_f(q, dim, n):
+    return building._count_run(FiniteField(q), dim, n)
+
+
 @pytest.mark.parametrize("q,n,dim", _MERGED_CASES)
 def test_merged_walk_matches_exhaustive(q, n, dim):
     """The merged walk's g and f equal those of the exhaustive walk over
-    every word, wherever that walk has at most 2 10^5 words in dim 3."""
+    every word at every length up to n, wherever that walk has at most
+    2 10^5 words in dim 3."""
     field = FiniteField(q)
-    assert building.oracle_g_f(q, n, dim, field=field) == building._count_run(field, dim, n)
+    walked = building.oracle_returns(q, n, dim, field=field)
+    assert walked[1:] == [_exhaustive_g_f(q, dim, k) for k in range(1, n + 1)]
+    assert walked[0] == (1, 1)
+    assert building.oracle_g_f(q, n, dim, field=field) == walked[n]
+
+
+@pytest.mark.parametrize(
+    "q,n,dim", [(2, 12, 3), (3, 8, 3), (4, 6, 3), (5, 6, 3), (2, 14, 2), (3, 10, 2)]
+)
+def test_pruned_walk_matches_unpruned(q, n, dim, monkeypatch):
+    """Dropping the states that cannot return by length n changes no
+    count at any length, at sizes beyond the exhaustive walk's reach."""
+    pruned = building.oracle_returns(q, n, dim, max_leaves=q ** (2 * n))
+    real = building._Walker.merged
+    monkeypatch.setattr(
+        building._Walker, "merged", lambda self, root, limit, horizon=None: real(self, root, limit)
+    )
+    assert pruned == building.oracle_returns(q, n, dim, max_leaves=q ** (2 * n))
+
+
+def test_merged_walk_refuses_m_falling_by_two():
+    """The prune assumes m falls by at most 1 per step; a successor whose
+    m is 2 below its state's stops the walk."""
+    wk = building._Walker(F2, 3)
+    real = wk.successors
+
+    def successors(edge):
+        succs = real(edge)
+        if building._m_of(edge[2]) == 2:
+            rows, mat, degs = succs[-1]
+            succs[-1] = rows, mat, [max(degs)] * 3
+        return succs
+
+    wk.successors = successors
+    with pytest.raises(InternalConsistencyError, match="m fell from 2 to 0"):
+        list(wk.merged(wk.start(), 4))
+
+
+def test_oracle_count_table_walks_once(monkeypatch, capsys):
+    """count --method oracle builds one walker for its whole table."""
+    from buildingflow import cli
+
+    built = []
+
+    class Counted(building._Walker):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(building, "_Walker", Counted)
+    assert cli.main(["count", "--method", "oracle", "--q", "2", "--steps", "9"]) == 0
+    assert capsys.readouterr().out.split()[-2:] == ["9", "98304"]
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("q,n", [(2, 0), (2, 1), (2, 6), (3, 4), (4, 3), (5, 2), (9, 2)])

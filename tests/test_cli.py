@@ -252,7 +252,7 @@ def test_unsupported_format_refused_before_any_work(monkeypatch, capsys, argv):
         walks.append(args)
         raise AssertionError("walked before the format check")
 
-    monkeypatch.setattr(building, "oracle_g_f", no_walk)
+    monkeypatch.setattr(building, "oracle_returns", no_walk)
     code, out, err = run(capsys, *argv, "--format", "xml")
     assert code == 2
     assert out == ""

@@ -136,21 +136,22 @@ def test_period_zero_checks_run_the_dp(monkeypatch):
 
 def test_validation_walks_each_length_once(monkeypatch):
     """The g and f checks, the period probes and the tree check share
-    one oracle walk per (n, dim)."""
-    real = building.oracle_g_f
+    one oracle walk per dim, to the longest n any of them runs, so each
+    length is walked once."""
+    real = building.oracle_returns
     calls = Counter()
 
     def counted(q, n, dim=3, *args, **kwargs):
         calls[(n, dim)] += 1
         return real(q, n, dim, *args, **kwargs)
 
-    monkeypatch.setattr(building, "oracle_g_f", counted)
+    monkeypatch.setattr(building, "oracle_returns", counted)
     cfg = crosscheck.ValidationConfig(q=2, steps=6, m_max=3, prefix_len=2)
     results = crosscheck.run_validation(cfg)
     assert [r.name for r in results if not r.passed] == []
     by_name = {r.name: r for r in results}
     assert by_name["oracle_vs_dp_g"].detail == by_name["oracle_vs_dp_f"].detail == "n=[3, 6]"
-    assert set(calls) == {(n, 3) for n in (1, 2, 3, 4, 5, 6)} | {(n, 2) for n in (2, 4, 6)}
+    assert set(calls) == {(6, 3), (6, 2)}
     assert max(calls.values()) == 1
 
 
@@ -158,7 +159,7 @@ def test_oracle_fault_fails_every_reader(monkeypatch):
     def broken(*args, **kwargs):
         raise InternalConsistencyError("walk broke")
 
-    monkeypatch.setattr(building, "oracle_g_f", broken)
+    monkeypatch.setattr(building, "oracle_returns", broken)
     cfg = crosscheck.ValidationConfig(q=2, steps=3, m_max=2, prefix_len=1)
     by_name = {r.name: r for r in crosscheck.run_validation(cfg)}
     for name in ("oracle_vs_dp_g", "oracle_vs_dp_f"):
