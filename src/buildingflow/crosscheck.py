@@ -320,16 +320,16 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     for name, first_return in (("oracle_vs_dp_g", False), ("oracle_vs_dp_f", True)):
 
         def oracle_check(name=name, first_return=first_return):
-            ran = oracle_ran
             detail = ", ".join(
-                f"n={n} needs {leaves(q, n)} leaves" for n in oracle_ns if n not in ran
+                f"n={n} needs {leaves(q, n)} leaves" for n in oracle_ns if n not in oracle_ran
             )
             detail = detail and "skipped (budget): " + detail
-            if not ran:
+            if not oracle_ran:
                 return CheckResult(name, True, skipped=True, detail=detail or "no n within budget")
             # the walk gives (closed, first-return): index 0 or 1
-            got = [walk(3)[n][first_return] for n in ran]
-            return _agree(name, ran, got, counts(ran, first_return), detail or f"n={ran}")
+            got = [walk(3)[n][first_return] for n in oracle_ran]
+            want = counts(oracle_ran, first_return)
+            return _agree(name, oracle_ran, got, want, detail or f"n={oracle_ran}")
 
         results.append(_check(name, oracle_check))
 
@@ -383,15 +383,14 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     results.append(_check("spr_margin", spr))
 
     def pgl2():
-        ran = tree_ran
-        skipped_n = [n for n in (2, 4, 6) if n not in ran]
+        skipped_n = [n for n in (2, 4, 6) if n not in tree_ran]
         detail = f"budget-skipped n={skipped_n}" if skipped_n else ""
-        if not ran:
+        if not tree_ran:
             return CheckResult("pgl2_closed_vs_oracle", True, skipped=True, detail=detail)
-        got = [walk(2)[n] for n in ran]
-        want = [(analysis.pgl2_closed(q, n, "g"), analysis.pgl2_closed(q, n, "f")) for n in ran]
-        expected = f"tree oracle = closed tree counts, n={ran}"
-        return _agree("pgl2_closed_vs_oracle", ran, got, want, detail, expected)
+        got = [walk(2)[n] for n in tree_ran]
+        want = [(analysis.pgl2_closed(q, n, "g"), analysis.pgl2_closed(q, n, "f")) for n in tree_ran]
+        expected = f"tree oracle = closed tree counts, n={tree_ran}"
+        return _agree("pgl2_closed_vs_oracle", tree_ran, got, want, detail, expected)
 
     results.append(_check("pgl2_closed_vs_oracle", pgl2))
 
