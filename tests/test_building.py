@@ -451,6 +451,32 @@ def test_merged_walk_reduces_once_per_state(q, n, reductions, monkeypatch):
     assert len(calls) == 1 + q * q * states == reductions
 
 
+@pytest.mark.parametrize(
+    "q,n,states,reductions",
+    [
+        (2, 9, [1, 2, 4, 8, 16, 29, 44, 77], [1, 4, 8, 16, 32, 64, 116, 176, 308]),
+        (3, 6, [1, 2, 4, 6, 11], [1, 9, 18, 36, 54, 99]),
+    ],
+)
+def test_merged_walk_work_per_depth(q, n, states, reductions, monkeypatch):
+    """The pruned merged count expands states[d] states at depth d and
+    reduces reductions[d] edges of depth d: the base edge, then the q^2
+    continuations of each state of the depth above."""
+    depths = []
+    reduce = building._reduce_rows
+
+    def counting(rows, detdeg, *rest):
+        depths.append(detdeg - 1)  # an edge of depth d has deg det d + 1
+        return reduce(rows, detdeg, *rest)
+
+    monkeypatch.setattr(building, "_reduce_rows", counting)
+    wk = building._Walker(FiniteField(q), 3)
+    expanded = Counter(d for d, *_ in wk.merged(wk.start(), n - 1, horizon=n - 1))
+    assert [expanded[d] for d in range(n - 1)] == states
+    assert [Counter(depths)[d] for d in range(n)] == reductions
+    assert reductions == [1] + [q * q * s for s in states]
+
+
 _MERGED_CASES = [
     (q, n, dim)
     for q in (2, 3, 4, 5, 7, 8, 9)
