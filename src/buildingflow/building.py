@@ -21,10 +21,13 @@ dimensions, and a reduction step's null vector is the first
 ``kernel_basis`` vector of the transposed leading-coefficient matrix
 (``_reduction_plan``).
 
-An edge of the walk is its source P and its reduced target R =
-reduce(P a) with R's row degrees (see ``_Walker``), so its quotient edge
-is read off two degree lists, and each of its q^2 continuations costs
-one reduction, of its own target.  Reduction acts on the left by Gamma =
+An edge of the walk is its reduced target R = reduce(P a), P the source
+a word reaches, with R's row degrees (see ``_Walker``), so its quotient
+edge is read off two degree lists, and each of its q^2 continuations
+costs one fused move and one reduction, of its own target.  Each row is
+one polynomial whose coefficients are vectors of F_q^dim packed into
+ints (``_Vectors``), so a reduction or Popov step is one table lookup
+per degree and term.  Reduction acts on the left by Gamma =
 GL_dim(F_q[t]) and the moves on the right, so everything below an edge
 depends only on the Gamma-orbit of R, whose key is its Popov form
 (``_popov``).  The counts and the terminal profile walk level by level
@@ -34,12 +37,12 @@ up to n off one walk that skips the states too far from the origin to
 return by length n: at (q, n) = (2, 9) that is 725 reductions against
 1,261 without the skip and 87,381 over every word, at (3, 6) 217
 against 370 and 66,430, and at (5, 6) 1,051 against 1,626 and 10.2
-million.  On one core of a 2-vCPU Xeon under Python 3.11 ``oracle_g_f``
-takes 0.025 s of CPU at (2, 9), 0.010 s at (3, 6) and 0.05 s at (5, 6),
-against 0.06, 0.02 and 0.10 s without the skip.  ``_count_run`` keeps
-the walk over every word as the reference the tests hold the merged
-counts against.  The census (breadth
-first by ``_Walker.successors``) and the prefix sweep (depth first by
+million.  On one pinned core of a 2-vCPU Xeon under Python 3.11
+``oracle_g_f`` takes ≈0.011 s of CPU at (2, 9), 0.006 s at (3, 6) and
+0.03 s at (5, 6), against 0.023, 0.012 and 0.05 s without the skip.
+``_count_run`` keeps the walk over every word as the reference the tests
+hold the merged counts against.  The census (breadth first by
+``_Walker.successors``) and the prefix sweep (depth first by
 ``_Walker.walk``) expand every edge they visit, reducing 1 + q^2 E times
 for a census of E quotient edges and sum_{k<=max_len+1} q^(2k) times for
 the prefix sweep.
@@ -47,8 +50,10 @@ the prefix sweep.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .algebra import (
     FiniteField,
@@ -406,68 +411,96 @@ def continuation_moves(field: FiniteField, dim: int = 3) -> list[LaurentMatrix]:
     return moves
 
 
-def _col_recipes(mats):
-    """Dense column recipes for polynomial matrices: per output column j,
-    the (input column k, coefficient c, t-shift s) terms, one per nonzero
-    c t^s in entry (k, j); right multiplication acts row by row."""
-    return [
-        tuple(
-            tuple((k, c, s) for k in range(u.dim) for s, c in sorted(u.rows[k][j].items()))
-            for j in range(u.dim)
+# ---------------------------------------------------------------------------
+# Packed rows: polynomials with vector coefficients, reduced in place
+# ---------------------------------------------------------------------------
+
+
+class _Table(dict):
+    """A table filled on first use: a missing key k maps to fill(k)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, k):
+        v = self[k] = self.fill(k)
+        return v
+
+
+class _Vectors:
+    """Rows of polynomial matrices over F_q, each one polynomial whose
+    coefficients are vectors of F_q^dim: a row is a list, lowest degree
+    first, of vectors packed into ints < size = q^dim (coordinate j is the
+    base-q digit j), with its top vector nonzero, so its degree is its
+    length - 1 and the zero row is [].  The tables are filled on first
+    use from the field's element operations, never in full: ``digits[v]``
+    holds v's coordinates, ``pivot[v]`` (j, v_j) for v's last nonzero
+    coordinate j, and ``axpy[c][a * size + b]`` a + c b.  ``ops`` holds the
+    field's element operations with each result kept, as a field of q =
+    p^e, e > 1, computes one by digit arithmetic."""
+
+    def __init__(self, field: FiniteField, dim: int):
+        q = field.q
+        self.field, self.dim, self.size = field, dim, q**dim
+        ops = ("add", "sub", "neg", "mul", "inv")
+        self.ops = SimpleNamespace(**{op: functools.cache(getattr(field, op)) for op in ops})
+        self.powers = [q**j for j in range(dim)]
+        self.digits = _Table(lambda v: tuple(v // p % q for p in self.powers))
+        self.pivot = _Table(lambda v: max((j, c) for j, c in enumerate(self.digits[v]) if c))
+        self.axpy = _Table(lambda c: _Table(functools.partial(self._axpy, c)))
+
+    def _axpy(self, c, k):
+        """a + c b, for the key k = a * size + b."""
+        a, b = self.digits[k // self.size], self.digits[k % self.size]
+        return self.pack(self.ops.add(x, self.ops.mul(c, y)) for x, y in zip(a, b))
+
+    def pack(self, coords) -> int:
+        return sum(c * p for c, p in zip(coords, self.powers))
+
+    def rows_of(self, mat: LaurentMatrix):
+        """The packed rows of a matrix with polynomial entries."""
+        return [
+            [self.pack(ent.get(e, 0) for ent in row) for e in range(max(max(ent, default=-1) for ent in row) + 1)]
+            for row in mat.rows
+        ]
+
+    def to_matrix(self, rows) -> LaurentMatrix:
+        """The matrix held in packed rows."""
+        digits = self.digits
+        return LaurentMatrix(
+            self.field,
+            [[{e: digits[v][j] for e, v in enumerate(row) if digits[v][j]} for j in range(self.dim)] for row in rows],
         )
-        for u in mats
-    ]
 
 
-# ---------------------------------------------------------------------------
-# Dense fast path: polynomials as coefficient lists, rows reduced in place
-# ---------------------------------------------------------------------------
+def _add_multiple(dst, src, c, s, vec: _Vectors):
+    """dst += c t^s src in place, one ``axpy`` lookup per degree."""
+    ax, size = vec.axpy[c], vec.size
+    if len(dst) < s + len(src):
+        dst.extend([0] * (s + len(src) - len(dst)))
+    for e, v in enumerate(src, s):
+        dst[e] = ax[dst[e] * size + v]
+    while dst and not dst[-1]:
+        dst.pop()
 
 
-def _apply_move(rows, recipe, field: FiniteField):
-    addt, mult = field.add_table, field.mul_table
-    out = []
-    for row in rows:
-        new_row = []
-        for terms in recipe:
-            if len(terms) == 1 and terms[0][1] == 1:
-                k, _, s = terms[0]
-                ent = row[k]
-                new_row.append([0] * s + ent if s and ent else list(ent))
-            else:
-                acc: list[int] = []
-                for k, c, s in terms:
-                    ent = row[k]
-                    if not ent:
-                        continue
-                    need = s + len(ent)
-                    if len(acc) < need:
-                        acc.extend([0] * (need - len(acc)))
-                    mrow = mult[c]
-                    for i, x in enumerate(ent):
-                        if x:
-                            j = s + i
-                            acc[j] = addt[acc[j]][mrow[x]]
-                while acc and not acc[-1]:
-                    acc.pop()
-                new_row.append(acc)
-        out.append(new_row)
-    return out
-
-
-def _reduction_plan(key, dim, field: FiniteField):
-    """None when the flattened leading-coefficient matrix ``key`` is
-    invertible, else the support of a nonzero c with c . key = 0, as
-    (index, entry) pairs: the first ``kernel_basis`` vector of key's
-    transpose."""
-    basis = kernel_basis(field, [key[j::dim] for j in range(dim)], dim)
+def _reduction_plan(key, vec: _Vectors):
+    """None when the leading-coefficient matrix whose rows are the packed
+    vectors ``key`` is invertible, else the support of a nonzero c with
+    c . key = 0, as (index, entry) pairs: the first ``kernel_basis``
+    vector of its transpose."""
+    basis = kernel_basis(vec.ops, list(zip(*(vec.digits[v] for v in key))), vec.dim)
     if not basis:
         return None
     return tuple((i, c) for i, c in enumerate(basis[0]) if c)
 
 
-def _reduce_rows(rows, detdeg, field: FiniteField, plans=None):
-    """Row-reduce in place over the polynomial ring; returns row degrees.
+def _reduce_rows(rows, detdeg, vec: _Vectors, plans=None):
+    """Row-reduce packed rows in place over the polynomial ring; returns
+    row degrees.
 
     ``detdeg`` is the t-degree of det(rows).  Each step lowers the
     degree sum by at least one, the sum never drops below deg det, and
@@ -475,24 +508,18 @@ def _reduce_rows(rows, detdeg, field: FiniteField, plans=None):
     (then the sorted row degrees are the Birkhoff exponents); so at most
     sum(degs) - detdeg + 1 rounds are needed.
 
-    ``plans`` maps a flattened leading-coefficient matrix to its
-    ``_reduction_plan`` and is filled on first sight; without it every
-    round solves afresh.  Either way the steps, and so the rows, are
-    the same.
+    ``plans`` maps the rows' top vectors to their ``_reduction_plan``, as
+    a ``_Table`` filled on first sight; without it every round solves
+    afresh.
+    Either way the steps, and so the rows, are the same.
     """
-    dim = len(rows)
-    degs = [max(map(len, row)) - 1 for row in rows]
-    if min(degs) < 0:
+    degs = [len(row) - 1 for row in rows]
+    if -1 in degs:
         raise InternalConsistencyError("zero row in a vertex representative")
+    axpy, size = vec.axpy, vec.size
     for _ in range(sum(degs) - detdeg + 1):
-        key = tuple([e[d] if len(e) > d else 0 for row, d in zip(rows, degs) for e in row])
-        if plans is None:
-            plan = _reduction_plan(key, dim, field)
-        else:
-            try:
-                plan = plans[key]
-            except KeyError:
-                plan = plans[key] = _reduction_plan(key, dim, field)
+        key = tuple([row[-1] for row in rows])
+        plan = _reduction_plan(key, vec) if plans is None else plans[key]
         if plan is None:
             if sum(degs) != detdeg:
                 raise InternalConsistencyError(
@@ -503,41 +530,31 @@ def _reduce_rows(rows, detdeg, field: FiniteField, plans=None):
         for i, _ in plan:
             if degs[i] > degs[i_star]:
                 i_star = i
-        new_row: list[list[int]] = [[] for _ in range(dim)]
+        d = degs[i_star]
+        new_row = [0] * (d + 1)
         for i, c in plan:
-            _add_multiple(new_row, rows[i], c, degs[i_star] - degs[i], field)
-        if not any(new_row):
+            ax = axpy[c]
+            for e, v in enumerate(rows[i], d - degs[i]):
+                new_row[e] = ax[new_row[e] * size + v]
+        while new_row and not new_row[-1]:
+            new_row.pop()
+        if not new_row:
             raise InternalConsistencyError("row reduction produced a zero row")
         rows[i_star] = new_row
-        degs[i_star] = max(map(len, new_row)) - 1
+        degs[i_star] = len(new_row) - 1
     raise InternalConsistencyError(
         f"row reduction did not finish within its bound (deg det = {detdeg})"
     )
 
 
-def _add_multiple(dst, src, c, s, field: FiniteField):
-    """dst += c t^s src, entry by entry, in place."""
-    addt, mrow = field.add_table, field.mul_table[c]
-    for acc, ent in zip(dst, src):
-        if not ent:
-            continue
-        need = s + len(ent)
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
-        for i, x in enumerate(ent):
-            if x:
-                acc[s + i] = addt[acc[s + i]][mrow[x]]
-        while acc and not acc[-1]:
-            acc.pop()
+def _popov(rows, degs, vec: _Vectors):
+    """Finish the row-reduced packed ``rows``, of row degrees ``degs``, to
+    the Popov form of their orbit under Gamma = GL_dim(F_q[t]) on the
+    left, in place; returns the form as a key, equal for two matrices
+    exactly when they lie in one orbit.
 
-
-def _popov(rows, degs, field: FiniteField):
-    """Finish the row-reduced ``rows``, of row degrees ``degs``, to the
-    Popov form of their orbit under Gamma = GL_dim(F_q[t]) on the left,
-    in place; returns the form as a key, equal for two matrices exactly
-    when they lie in one orbit.
-
-    A row's pivot is its rightmost entry of full degree.
+    A row's pivot is its rightmost entry of full degree, the last nonzero
+    coordinate of its top vector.
     1. Weak Popov form by the simple transformations of Mulders &
        Storjohann (J. Symbolic Comput. 35, 2003): while two rows share a
        pivot column, take c t^s times the one of lower degree from the
@@ -547,51 +564,41 @@ def _popov(rows, degs, field: FiniteField):
     3. Each pivot is made monic.
     4. Each term c t^e in column j of a row other than j, with e >=
        degs[j], is cancelled by c t^(e - degs[j]) times row j, the largest
-       term first (by degree, then column).  Every other term of row j is
-       smaller in that order, so no pivot moves and the terms only fall.
+       term first (by degree, then column).  Row j's terms are smaller in
+       that order, so no pivot moves, the terms only fall, and one pass
+       down the degrees and columns meets them in that order.
     No pivot then divides an off-pivot term: the rows are the reduced
     Groebner basis of their row module for the term-over-position order,
     so the form is unique (Beckermann, Labahn & Villard, J. Symbolic
     Comput. 41, 2006).  ``degs`` is permuted with the rows.
     """
     dim = len(rows)
-    neg, inv, mul = field.neg, field.inv, field.mul
-
-    def pivot(i):
-        return max(j for j, ent in enumerate(rows[i]) if len(ent) == degs[i] + 1)
-
-    piv = [pivot(i) for i in range(dim)]
-    while len(set(piv)) < dim:
-        i, k = next((i, k) for i in range(dim) for k in range(i) if piv[i] == piv[k])
+    pivot, digits = vec.pivot, vec.digits
+    neg, inv, mul = vec.ops.neg, vec.ops.inv, vec.ops.mul
+    piv = [pivot[row[-1]] for row in rows]
+    while len({j for j, _ in piv}) < dim:
+        i, k = next((i, k) for i in range(dim) for k in range(i) if piv[i][0] == piv[k][0])
         if degs[i] < degs[k]:
             i, k = k, i
-        j = piv[i]
-        c = neg(mul(rows[i][j][-1], inv(rows[k][j][-1])))
-        _add_multiple(rows[i], rows[k], c, degs[i] - degs[k], field)
-        if max(map(len, rows[i])) - 1 != degs[i]:
+        _add_multiple(rows[i], rows[k], neg(mul(piv[i][1], inv(piv[k][1]))), degs[i] - degs[k], vec)
+        if len(rows[i]) - 1 != degs[i]:
             raise InternalConsistencyError("a Popov step changed a row degree")
-        piv[i] = pivot(i)
+        piv[i] = pivot[rows[i][-1]]
     order = sorted(range(dim), key=piv.__getitem__)
     rows[:] = [rows[i] for i in order]
     degs[:] = [degs[i] for i in order]
-    for j, row in enumerate(rows):
-        mrow = field.mul_table[inv(row[j][-1])]
-        for ent in row:
-            ent[:] = [mrow[x] for x in ent]
+    for row, i in zip(rows, order):
+        if piv[i][1] != 1:
+            ax = vec.axpy[inv(piv[i][1])]
+            row[:] = [ax[v] for v in row]  # a = 0: the multiple alone
+    low = min(degs)
     for i, row in enumerate(rows):
-        while True:
-            terms = [
-                (e, j)
-                for j, ent in enumerate(row)
-                if j != i
-                for e in range(degs[j], len(ent))
-                if ent[e]
-            ]
-            if not terms:
-                break
-            e, j = max(terms)
-            _add_multiple(row, rows[j], neg(row[j][e]), e - degs[j], field)
-    return tuple(tuple(map(tuple, row)) for row in rows)
+        others = [(j, degs[j]) for j in range(dim - 1, -1, -1) if j != i]
+        for e in range(len(row) - 1, low - 1, -1):
+            for j, d in others:
+                if d <= e and digits[row[e]][j]:
+                    _add_multiple(row, rows[j], neg(digits[row[e]][j]), e - d, vec)
+    return tuple(map(tuple, rows))
 
 
 def _pair_from_degs(degs, dim):
@@ -613,15 +620,25 @@ def _m_of(degs) -> int:
     return max(degs) - min(degs)
 
 
-class _Walker:
+def _fused(row, lo, hi):
+    """The packed row r X a, for the tables (lo, hi) of the fused move
+    X a: (r X a)[e] = lo[r[e]] + hi[r[e - 1]]."""
+    new = [*map(lo.__getitem__, row), 0]
+    for e, v in enumerate(row, 1):
+        new[e] += hi[v]
+    if not new[-1]:
+        new.pop()
+    return new
+
+
+class _Walker(_Vectors):
     """Shared state for walking type-1 edges by continuation words.
 
-    An edge is (P, R, degs): P a row-reduced representative of the
-    source vertex a word reaches, R = reduce(P a) one of the target, and
-    degs R's row degrees.  A word of length k gives det P t-degree k,
-    since every move's det has degree 1, so the edge's depth k is
-    sum(degs) - 1.  Each entry of P and R is a list of field elements,
-    lowest degree first.
+    An edge is (R, degs): R = reduce(P a) a row-reduced representative of
+    the target of the edge out of a source P that a word reaches, and
+    degs R's row degrees, in packed rows (``_Vectors``).  A word of length
+    k gives det P t-degree k, since every move's det has degree 1, so the
+    edge's depth k is sum(degs) - 1.
 
     ``start`` gives the base edge (the empty word) and ``successors`` the
     q^2 continuations of an edge in ``continuation_moves`` order; ``walk``
@@ -632,56 +649,83 @@ class _Walker:
     LC(M) X_j keeps the row space of LC's transpose, so its RREF, the null
     vector ``_reduction_plan`` takes from it and every round's step: so
     reduce(P u_j) = R X_j, with R's row degrees.  Continuation j is the
-    edge out of R X_j, and its target costs one reduction.  The quotient
-    edge of a continuation is ``quotient(degs, its degs)``, with no
-    reduction.
+    edge out of R X_j, and its target R X_j a costs one fused move and one
+    reduction.  As a only shifts column 0, the fused move is two lookups
+    per degree in the move's tables, vX_j without its coordinate 0 and
+    that coordinate alone (``_fused``), and a plain int add, since the
+    two lie in disjoint digits.  The walk never forms a source; the
+    census forms R X_j (``source``) only for a lift it keeps.  The
+    quotient edge of a continuation is ``quotient(degs, its degs)``, with
+    no reduction.
 
-    ``plans`` memoises the reduction plan by flattened leading-coefficient
-    matrix, filled as the walk first meets each one.  It holds at most
-    min(q^(dim^2), reduction rounds walked) entries; the rounds are
-    bounded by what bounds the walk (``max_leaves`` for the counting
-    walks, ``m_max`` or ``max_len`` for the census and prefix sweeps), and
-    the memo goes with the walker.
+    ``plans`` memoises the reduction plan by the rows' top vectors, filled
+    as the walk first meets each one.  It holds at most min(q^(dim^2),
+    reduction rounds walked) entries; the rounds are bounded by what
+    bounds the walk (``max_leaves`` for the counting walks, ``m_max`` or
+    ``max_len`` for the census and prefix sweeps), and the memo and the
+    vector tables, each entry of which a lookup of the walk made, go with
+    the walker.  At (q, n) = (2, 9) a continuation, with its fused move,
+    reduction and Popov key, costs ≈16 µs of CPU, against ≈31 µs on the
+    coefficient lists (one list of field elements per entry) that the
+    packed rows replaced.
     """
 
     def __init__(self, field: FiniteField, dim: int):
-        self.field = field
-        self.dim = dim
-        self.plans: dict = {}
-        a_inv = LaurentMatrix.diag_powers(field, [-1] + [0] * (dim - 1))
-        mixes = [a_inv @ u for u in continuation_moves(field, dim)]
-        for x in mixes:
-            if any(set(e) - {0} for r in x.rows for e in r) or not x.det_adj()[0]:
+        super().__init__(field, dim)
+        self.plans = _Table(lambda key: _reduction_plan(key, self))
+        self.moves = []
+        for u in continuation_moves(field, dim):
+            x = [[{e - 1: c for e, c in ent.items()} for ent in u.rows[0]], *u.rows[1:]]  # a^-1 u
+            mix = tuple(self.pack(e.get(0, 0) for e in row) for row in x)
+            if any(set(e) - {0} for r in x for e in r) or _reduction_plan(mix, self):
                 raise InternalConsistencyError("a move is not a times a constant invertible matrix")
-        [self.step] = _col_recipes([std_step(field, dim)])
-        self.moves = _col_recipes(mixes)
+            self.moves.append(self._fused_tables(mix))
 
-    def _edge(self, rows, depth):
-        """The edge (P, reduce(P a), its row degrees) out of the reduced
-        source P = rows, whose target lies at ``depth``."""
-        mat = _apply_move(rows, self.step, self.field)
-        return rows, mat, _reduce_rows(mat, depth, self.field, self.plans)
+    def _fused_tables(self, mix):
+        """The tables (lo, hi) of the fused move X a, X the constant matrix
+        of packed rows ``mix``: lo[v] is vX without its coordinate 0, and
+        hi[v] that coordinate alone."""
+        q, size, axpy, digits = self.field.q, self.size, self.axpy, self.digits
+
+        def times_x(v):
+            acc = 0
+            for c, x in zip(digits[v], mix):
+                if c:
+                    acc = axpy[c][acc * size + x]
+            return acc
+
+        return _Table(lambda v: times_x(v) // q * q), _Table(lambda v: times_x(v) % q)
 
     def start(self):
-        """The base edge: the identity and reduce(a)."""
-        return self._edge([[[1] if i == j else [] for j in range(self.dim)] for i in range(self.dim)], 1)
+        """The base edge: reduce(a), a the straight step."""
+        rows = [[0, 1], *([p] for p in self.powers[1:])]
+        return rows, _reduce_rows(rows, 1, self, self.plans)
 
     def successors(self, edge):
         """The q^2 continuations of edge, in ``continuation_moves`` order:
         the edges out of R X_j, R the edge's target."""
-        _, rows, degs = edge
+        rows, degs = edge
         depth = sum(degs) + 1
-        return [self._edge(_apply_move(rows, move, self.field), depth) for move in self.moves]
+        out = []
+        for lo, hi in self.moves:
+            target = [_fused(row, lo, hi) for row in rows]
+            out.append((target, _reduce_rows(target, depth, self, self.plans)))
+        return out
+
+    def source(self, rows, j):
+        """R X_j, the source of continuation j of an edge of target R."""
+        lo, hi = self.moves[j]
+        return [[lo[v] + hi[v] for v in row] for row in rows]
 
     def walk(self, root, limit):
         """Depth first from ``root``, in ``continuation_moves`` order:
         yields (depth, edge, its successors) for every edge of depth
         < limit, so an edge at depth ``limit`` is seen only as a successor."""
-        stack = [root] if sum(root[2]) <= limit else []
+        stack = [root] if sum(root[1]) <= limit else []
         while stack:
             edge = stack.pop()
             succs = self.successors(edge)
-            depth = sum(edge[2]) - 1
+            depth = sum(edge[1]) - 1
             yield depth, edge, succs
             if depth + 1 < limit:
                 stack += reversed(succs)
@@ -711,13 +755,13 @@ class _Walker:
         it reduces and raises ``InternalConsistencyError`` where m falls
         by more."""
         bound = float("inf") if horizon is None else horizon
-        level = [(root, 1, 1)] if _m_of(root[2]) <= bound else []
+        level = [(root, 1, 1)] if _m_of(root[1]) <= bound else []
         for depth in range(limit):
             nxt: dict = {}
             for edge, words, free in level:
-                m = _m_of(edge[2])
+                m = _m_of(edge[1])
                 succs = self.successors(edge)
-                ms = [_m_of(d) for _, _, d in succs]
+                ms = [_m_of(d) for _, d in succs]
                 if min(ms) < m - 1:
                     raise InternalConsistencyError(
                         f"m fell from {m} to {min(ms)} in one step at depth {depth}"
@@ -729,17 +773,10 @@ class _Walker:
                     free = 0
                 for succ, m_succ in zip(succs, ms):
                     if m_succ < bound - depth:
-                        state = nxt.setdefault(_popov(succ[1], succ[2], self.field), [succ, 0, 0])
+                        state = nxt.setdefault(_popov(succ[0], succ[1], self), [succ, 0, 0])
                         state[1] += words
                         state[2] += free
             level = nxt.values()
-
-    def to_matrix(self, rows) -> LaurentMatrix:
-        """The representative held in rows (an edge's P or R)."""
-        return LaurentMatrix(
-            self.field,
-            [[{e: c for e, c in enumerate(ent) if c} for ent in row] for row in rows],
-        )
 
     def quotient(self, src_degs, degs) -> shift_mod.QuotientEdge:
         """Quotient edge of an edge whose source and target have the row
@@ -759,13 +796,13 @@ def _count_run(field: FiniteField, dim: int, n: int) -> tuple[int, int]:
     width, last = len(wk.moves), n - 1
     root = wk.start()
     if n == 1:  # the words end at the base edge's target
-        return (width, width) if _at_origin(root[2]) else (0, 0)
+        return (width, width) if _at_origin(root[1]) else (0, 0)
     seen = [False] * (n + 1)  # seen[k]: the word's vertex at some depth 1 .. k is the origin
     g_total = f_total = 0
-    for depth, (_, _, degs), succs in wk.walk(root, last):
+    for depth, (_, degs), succs in wk.walk(root, last):
         seen[depth + 1] = interior = seen[depth] or _at_origin(degs)
         if depth + 1 == last:
-            for _, _, d in succs:
+            for _, d in succs:
                 if _at_origin(d):
                     g_total += width
                     if not interior:
@@ -813,9 +850,9 @@ def oracle_returns(
     width = len(wk.moves)
     root = wk.start()
     g, f = [1] + [0] * n, [1] + [0] * n
-    g[1] = f[1] = width if _at_origin(root[2]) else 0  # the base edge's target
-    for depth, (_, _, degs), words, free, succs in wk.merged(root, n - 1, horizon=n - 1):
-        ends = width * sum(_at_origin(d) for _, _, d in succs)
+    g[1] = f[1] = width if _at_origin(root[1]) else 0  # the base edge's target
+    for depth, (_, degs), words, free, succs in wk.merged(root, n - 1, horizon=n - 1):
+        ends = width * sum(_at_origin(d) for _, d in succs)
         g[depth + 2] += ends * words
         f[depth + 2] += 0 if _at_origin(degs) else ends * free
     return list(zip(g, f))
@@ -862,11 +899,11 @@ def oracle_terminal_profile(
     wk = _Walker(field, 3)
     root = wk.start()
     if n == 0:
-        return {wk.quotient([0] * 3, root[2]): 1}
+        return {wk.quotient([0] * 3, root[1]): 1}
     out: Counter = Counter()
-    for depth, (_, _, degs), words, _, succs in wk.merged(root, n):
+    for depth, (_, degs), words, _, succs in wk.merged(root, n):
         if depth == n - 1:
-            for _, _, d in succs:
+            for _, d in succs:
                 out[wk.quotient(degs, d)] += words
     return dict(out)
 
@@ -886,8 +923,9 @@ def oracle_transition_census(
     field = _field_for(q, field)
     wk = _Walker(field, 3)
     base = wk.start()
-    start = wk.quotient([0] * 3, base[2])
+    start = wk.quotient([0] * 3, base[1])
     lifts = {start: base}
+    sources = {start: [[p] for p in wk.powers]}  # the identity
     census: dict[shift_mod.QuotientEdge, dict[shift_mod.QuotientEdge, int]] = {}
     frontier = [start]
     while frontier:
@@ -897,16 +935,18 @@ def oracle_transition_census(
                 continue
             edge = lifts[qe]
             succs: Counter = Counter()
-            for succ in wk.successors(edge):
-                succ_qe = wk.quotient(edge[2], succ[2])
+            for j, succ in enumerate(wk.successors(edge)):
+                succ_qe = wk.quotient(edge[1], succ[1])
                 succs[succ_qe] += 1
                 if succ_qe not in lifts:
                     lifts[succ_qe] = succ
+                    if with_lifts:
+                        sources[succ_qe] = wk.source(edge[0], j)
                     nxt.append(succ_qe)
             census[qe] = dict(succs)
         frontier = nxt
     if with_lifts:
-        return census, {qe: wk.to_matrix(edge[0]) for qe, edge in lifts.items()}
+        return census, {qe: wk.to_matrix(rows) for qe, rows in sources.items()}
     return census
 
 
@@ -943,12 +983,12 @@ def oracle_prefix_mismatches(
     # the depth-k edge on the path to the edge walked last (the walk is
     # depth first) has the source degrees src[k] and the last move move[k]
     src, move = [[0] * 3] * (max_len + 2), [-1] * (max_len + 2)
-    for depth, (_, _, degs), succs in wk.walk(wk.start(), max_len + 1):
+    for depth, (_, degs), succs in wk.walk(wk.start(), max_len + 1):
         move[depth] += 1
         move[depth + 1] = -1
         qe = wk.quotient(src[depth], degs)
         src[depth + 1] = degs
-        seen = Counter(wk.quotient(degs, d) for _, _, d in succs)
+        seen = Counter(wk.quotient(degs, d) for _, d in succs)
         if qe in reference:
             if reference[qe] != seen:
                 mismatches.append(
@@ -990,14 +1030,8 @@ def fast_invariant(mat: LaurentMatrix):
     cross-check partner of ``birkhoff_invariant`` on enumeration paths."""
     if mat.min_entry_exponent() < 0:
         raise ValueError("row-reduction path expects polynomial entries")
-    rows = [
-        [
-            [ent.get(e, 0) for e in range(int(laurent_deg(ent)) + 1)] if ent else []
-            for ent in row
-        ]
-        for row in mat.rows
-    ]
     det, _ = mat.det_adj()
     if not det:
         raise ValueError("singular representative")
-    return _pair_from_degs(_reduce_rows(rows, int(laurent_deg(det)), mat.field), mat.dim)
+    vec = _Vectors(mat.field, mat.dim)
+    return _pair_from_degs(_reduce_rows(vec.rows_of(mat), int(laurent_deg(det)), vec), mat.dim)

@@ -385,11 +385,11 @@ def _exhaustive_profile(q, n):
     wk = building._Walker(FiniteField(q), 3)
     root = wk.start()
     if n == 0:
-        return {wk.quotient([0] * 3, root[2]): 1}
+        return {wk.quotient([0] * 3, root[1]): 1}
     out = Counter()
-    for depth, (_, _, degs), succs in wk.walk(root, n):
+    for depth, (_, degs), succs in wk.walk(root, n):
         if depth == n - 1:
-            out.update(wk.quotient(degs, d) for _, _, d in succs)
+            out.update(wk.quotient(degs, d) for _, d in succs)
     return dict(out)
 
 
@@ -525,9 +525,9 @@ def test_merged_walk_refuses_m_falling_by_two():
 
     def successors(edge):
         succs = real(edge)
-        if building._m_of(edge[2]) == 2:
-            rows, mat, degs = succs[-1]
-            succs[-1] = rows, mat, [max(degs)] * 3
+        if building._m_of(edge[1]) == 2:
+            rows, degs = succs[-1]
+            succs[-1] = rows, [max(degs)] * 3
         return succs
 
     wk.successors = successors
@@ -552,18 +552,48 @@ def test_oracle_count_table_walks_once(monkeypatch, capsys):
     assert len(built) == 1
 
 
+def test_vector_tables_fill_on_use_without_the_field_tables(monkeypatch):
+    """The walker's vector tables hold only the entries its walk looked
+    up: after ``oracle_g_f(9, 3)`` far fewer than the q^(2 dim) = 531,441
+    pairs of a full vector add table.  No walk reads the field's add or
+    mul tables, at q = 9 nor in a census over F_4."""
+
+    def refuse(self):
+        raise AssertionError("a walk read the field tables")
+
+    monkeypatch.setattr(FiniteField, "add_table", property(refuse))
+    monkeypatch.setattr(FiniteField, "mul_table", property(refuse))
+    walkers = []
+
+    class Kept(building._Walker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            walkers.append(self)
+
+    monkeypatch.setattr(building, "_Walker", Kept)
+    assert building.oracle_g_f(9, 3) == (shift.dp_g(9, 3), shift.dp_f(9, 3))
+    [wk] = walkers
+
+    def entries(table):
+        return sum(entries(v) if isinstance(v, building._Table) else 1 for v in table.values())
+
+    filled = sum(map(entries, [wk.digits, wk.pivot, wk.axpy, wk.plans, *(t for m in wk.moves for t in m)]))
+    assert 0 < filled < 9**6 // 20
+    assert building.oracle_transition_census(4, 3) == shift.build_graph(4, 3)
+
+
 @pytest.mark.parametrize("q,n", [(2, 0), (2, 1), (2, 6), (3, 4), (4, 3), (5, 2), (9, 2)])
 def test_merged_terminal_profile_matches_exhaustive_tally(q, n):
     assert building.oracle_terminal_profile(q, n) == _exhaustive_profile(q, n)
 
 
 def _popov_of(mat):
-    """Reduce a polynomial matrix, then finish it to Popov form; returns
-    (key, row degrees)."""
-    field = mat.field
-    rows = [[[ent.get(e, 0) for e in range(max(ent, default=-1) + 1)] for ent in row] for row in mat.rows]
-    degs = building._reduce_rows(rows, max(mat.det_adj()[0]), field)
-    return building._popov(rows, degs, field), degs
+    """Reduce a polynomial matrix in packed rows, then finish it to Popov
+    form; returns (key, row degrees)."""
+    vec = building._Vectors(mat.field, mat.dim)
+    rows = vec.rows_of(mat)
+    degs = building._reduce_rows(rows, max(mat.det_adj()[0]), vec)
+    return building._popov(rows, degs, vec), degs
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -577,15 +607,15 @@ def test_popov_form_is_a_gamma_orbit_invariant(q):
     field = FiniteField(q)
     rng = random.Random(q)
     wk = building._Walker(field, 3)
-    targets = [wk.to_matrix(r) for _, (_, r, _), _ in wk.walk(wk.start(), 3 if q < 4 else 2)]
+    targets = [wk.to_matrix(r) for _, (r, _), _ in wk.walk(wk.start(), 3 if q < 4 else 2)]
     for mat in rng.sample(targets, 12):
         want, degs = _popov_of(mat)
-        rows = [[list(ent) for ent in row] for row in want]
-        assert building._popov(rows, list(degs), field) == want
-        for j, row in enumerate(want):
-            assert len(row[j]) == degs[j] + 1 and row[j][-1] == 1
-            assert all(len(ent) <= degs[j] for ent in row[j + 1 :])
-            assert all(len(r[j]) <= degs[j] for i, r in enumerate(want) if i != j)
+        assert building._popov([list(row) for row in want], list(degs), wk) == want
+        form = wk.to_matrix(want).rows
+        for j, row in enumerate(form):
+            assert max(row[j], default=-1) == degs[j] and row[j][degs[j]] == 1
+            assert all(max(ent, default=-1) < degs[j] for ent in row[j + 1 :])
+            assert all(max(r[j], default=-1) < degs[j] for i, r in enumerate(form) if i != j)
         for _ in range(4):
             got, got_degs = _popov_of(_random_unimodular_poly(field, rng) @ mat)
             assert got == want
@@ -659,30 +689,36 @@ def test_census_lifts_decode_to_their_edges():
             assert quotient_edge_of(BDirectedEdge(VertexClass(mat), VertexClass(mat @ a))) == qe
 
 
-def _walk_against_table_path(wk, max_depth):
+def _walk_against_unfused(wk, max_depth):
     """Hold every edge wk walks to targets at depth max_depth against
-    the unmemoised reducer, in ``continuation_moves`` order: its source
-    against the reduced vertex, its target and the target's row degrees
-    against the reduction of source * a, and the row degrees the reduced
-    continuations share against its target's."""
+    matrix products and the unmemoised reducer, in ``continuation_moves``
+    order: its target and the target's row degrees against the reduction
+    of source * a; each fused move R X_j a against the product R X_j,
+    then the step a; and R X_j against the reduction of P u_j, whose row
+    degrees are the target's, P the source."""
     field, dim = wk.field, wk.dim
-    moves = [building.std_step(field, dim), *continuation_moves(field, dim)]
-    [step, *table_recipes] = building._col_recipes(moves)
+    a = building.std_step(field, dim)
+    a_inv = LaurentMatrix.diag_powers(field, [-1] + [0] * (dim - 1))
+    moves = continuation_moves(field, dim)
+    fused = [a_inv @ u @ a for u in moves]
 
-    def rec(edge, rows, depth):
-        src, tgt, degs = edge
-        assert src == rows
-        target = building._apply_move(rows, step, field)
-        assert degs == building._reduce_rows(target, depth + 1, field)
-        assert tgt == target
+    def rec(edge, src, depth):
+        rows, degs = edge
+        p = wk.to_matrix(src)
+        target = wk.rows_of(p @ a)
+        assert degs == building._reduce_rows(target, depth + 1, wk)
+        assert rows == target
         if depth + 2 > max_depth:
             return
-        for succ, recipe in zip(wk.successors(edge), table_recipes, strict=True):
-            nr = building._apply_move(rows, recipe, field)
-            assert degs == building._reduce_rows(nr, depth + 1, field)
+        r = wk.to_matrix(rows)
+        for j, (succ, u, xa, (lo, hi)) in enumerate(zip(wk.successors(edge), moves, fused, wk.moves, strict=True)):
+            assert [building._fused(row, lo, hi) for row in rows] == wk.rows_of(r @ xa)
+            nr = wk.rows_of(p @ u)
+            assert degs == building._reduce_rows(nr, depth + 1, wk)
+            assert wk.source(rows, j) == nr
             rec(succ, nr, depth + 1)
 
-    rec(wk.start(), [[[1] if i == j else [] for j in range(dim)] for i in range(dim)], 0)
+    rec(wk.start(), [[p] for p in wk.powers], 0)
 
 
 @pytest.mark.parametrize(
@@ -693,12 +729,20 @@ def _walk_against_table_path(wk, max_depth):
     ],
 )
 def test_memo_walk_matches_unmemoised_reducer(q, dim, max_depth):
-    """The walker, which reuses one reduction plan per leading-coefficient
-    matrix, has at every edge of every word the rows and degrees the
-    reducer gives when it solves every round afresh."""
+    """The walker, which reuses one reduction plan per top-vector key and
+    fuses each move with the step, has at every edge of every word the
+    rows and degrees the reducer gives when it solves every round afresh
+    on the products formed one matrix at a time."""
     wk = building._Walker(FiniteField(q), dim)
-    _walk_against_table_path(wk, max_depth)
+    _walk_against_unfused(wk, max_depth)
     assert any(plan is not None for plan in wk.plans.values())
+
+
+# [[t, t^2, 0], [0, 1, 0], [0, 0, 1]] in packed rows over F_q: row 0 is
+# e_0 t + e_1 t^2, so row degrees 2, 0, 0, deg det 1, and top vectors
+# e_1, e_1, e_2; the seeded plan for those keeps row 0 as it is.
+def _stuck(q):
+    return [[0, 1, q], [q], [q * q]], (q, q, q * q)
 
 
 def test_memo_hits_keep_the_round_cap():
@@ -714,19 +758,16 @@ def test_memo_hits_keep_the_round_cap():
             reads.append(key)
             return super().__getitem__(key)
 
-    # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1;
-    # the seeded plan for its singular leading coefficients keeps row 0
-    stuck = (0, 1, 0, 0, 1, 0, 0, 0, 1)
-    identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    rows, stuck = _stuck(5)
+    assert wk.rows_of(LaurentMatrix(f5, [[{1: 1}, {2: 1}, {}], [{}, {0: 1}, {}], [{}, {}, {0: 1}]])) == rows
+    identity = (1, 5, 25)
     wk.plans = CountingPlans({stuck: ((0, 1),), identity: None})
-    rows = [[[0, 1], [0, 0, 1], []], [[], [1], []], [[], [], [1]]]
     with pytest.raises(InternalConsistencyError, match="did not finish"):
-        building._reduce_rows(rows, 1, f5, wk.plans)
+        building._reduce_rows(rows, 1, wk, wk.plans)
     assert reads == [stuck, stuck]
     reads.clear()
-    rows = [[[1] if i == j else [] for j in range(3)] for i in range(3)]
     with pytest.raises(InternalConsistencyError, match="do not sum"):
-        building._reduce_rows(rows, -1, f5, wk.plans)
+        building._reduce_rows([[v] for v in identity], -1, wk, wk.plans)
     assert reads == [identity]
 
 
@@ -742,28 +783,24 @@ def test_sliced_reducer_keeps_the_round_cap():
             reads.append(key)
             return super().__getitem__(key)
 
-    # [[t, t^2, 0], [0, 1, 0], [0, 0, 1]]: row degrees 2, 0, 0, deg det 1;
-    # the seeded plan for its singular leading coefficients keeps row 0
-    stuck = (0, 1, 0, 0, 1, 0, 0, 0, 1)
-    identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    vec = building._Vectors(F3, 3)
+    rows, stuck = _stuck(3)
+    identity = (1, 3, 9)
     plans = CountingPlans({stuck: ((0, 1),), identity: None})
-    rows = [[[0, 1], [0, 0, 1], []], [[], [1], []], [[], [], [1]]]
     with pytest.raises(InternalConsistencyError, match="did not finish"):
-        building._reduce_rows(rows, 1, F3, plans)
+        building._reduce_rows(rows, 1, vec, plans)
     assert reads == [stuck, stuck]
     reads.clear()
-    rows = [[[1] if i == j else [] for j in range(3)] for i in range(3)]
     with pytest.raises(InternalConsistencyError, match="do not sum"):
-        building._reduce_rows(rows, -1, F3, plans)
+        building._reduce_rows([[v] for v in identity], -1, vec, plans)
     assert reads == [identity]
-    zero = [[[1], [], []], [[], [], []], [[], [], [1]]]
+    zero = [[1], [], [9]]
     with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
-        building._reduce_rows(zero, 0, F3, plans)
+        building._reduce_rows(zero, 0, vec, plans)
     # [[1, 0, 0], [2, 0, 0], [0, 0, 1]] and the plan row 0 + row 1
-    twice = [[[1], [], []], [[2], [], []], [[], [], [1]]]
-    key = (1, 0, 0, 2, 0, 0, 0, 0, 1)
+    twice = [[1], [2], [9]]
     with pytest.raises(InternalConsistencyError, match="produced a zero row"):
-        building._reduce_rows(twice, 0, F3, {key: ((0, 1), (1, 1))})
+        building._reduce_rows(twice, 0, vec, {(1, 2, 9): ((0, 1), (1, 1))})
 
 
 def test_reduction_stops_at_its_bound(monkeypatch):
@@ -776,28 +813,25 @@ def test_reduction_stops_at_its_bound(monkeypatch):
     assert fast_invariant(m) == birkhoff_invariant(VertexClass(m)) == (1, 0)
     tries = []
 
-    def stuck(key, dim, field):
+    def stuck(key, vec):
         tries.append(key)
         return ((0, 1),)  # keeps row 0 as it is
 
     monkeypatch.setattr(building, "_reduction_plan", stuck)
     with pytest.raises(InternalConsistencyError, match="did not finish"):
         fast_invariant(m)
-    assert len(tries) == 2
+    assert tries == [_stuck(3)[1]] * 2
 
     # at q = 2, with seeded plans: a deg det the reduced degrees do not add
     # up to, a zero row, and [[1, 0, 0], [1, 0, 0], [0, 0, 1]] with the
     # plan row 0 + row 1
-    identity = [[[1] if i == j else [] for j in range(3)] for i in range(3)]
+    vec = building._Vectors(F2, 3)
     with pytest.raises(InternalConsistencyError, match="do not sum"):
-        building._reduce_rows(identity, -1, F2, {(1, 0, 0, 0, 1, 0, 0, 0, 1): None})
-    zero = [[[1], [], []], [[], [], []], [[], [], [1]]]
+        building._reduce_rows([[1], [2], [4]], -1, vec, {(1, 2, 4): None})
     with pytest.raises(InternalConsistencyError, match="zero row in a vertex"):
-        building._reduce_rows(zero, 0, F2)
-    twice = [[[1], [], []], [[1], [], []], [[], [], [1]]]
-    key = (1, 0, 0, 1, 0, 0, 0, 0, 1)
+        building._reduce_rows([[1], [], [4]], 0, vec)
     with pytest.raises(InternalConsistencyError, match="produced a zero row"):
-        building._reduce_rows(twice, 0, F2, {key: ((0, 1), (1, 1))})
+        building._reduce_rows([[1], [1], [4]], 0, vec, {(1, 1, 4): ((0, 1), (1, 1))})
 
 
 def test_prefix_independence_short():

@@ -219,15 +219,54 @@ def test_threads_below_one_exit_2(capsys):
         assert "--threads must be >= 1" in err
 
 
-def test_validate_capacity_limit_is_skip(capsys):
-    """q = 67 has no field tables: the oracle checks skip with the reason."""
+def test_validate_capacity_limit_is_skip(capsys, monkeypatch):
+    """An oracle route that refuses its field (``UnsupportedFieldError``,
+    here raised by every walk) makes each oracle check skip with the
+    reason, never fail."""
+    from buildingflow import building
+    from buildingflow.errors import UnsupportedFieldError
+
+    def refuse(*args, **kwargs):
+        raise UnsupportedFieldError("no walk over this field")
+
+    monkeypatch.setattr(building, "oracle_returns", refuse)
+    monkeypatch.setattr(building, "oracle_transition_census", refuse)
+    code, out, _ = run(capsys, "validate", "--q", "3", "--steps", "3", "--m-max", "2")
+    assert code == 0
+    lines = {line.split()[1]: line for line in out.splitlines()[:-1]}
+    for name in (
+        "census_vs_fold", "oracle_vs_dp_g", "oracle_vs_dp_f", "oracle_period_zeros", "pgl2_closed_vs_oracle"
+    ):
+        assert lines[name].startswith("SKIP")
+        assert "capacity limit: no walk over this field" in lines[name]
+    assert "FAIL" not in out
+
+
+def test_prime_above_the_table_limit_runs_the_oracle_routes(capsys):
+    """q = 67 is a prime beyond the field's table limit, and the oracle
+    routes run on its scalar operations: the tree count equals
+    ``pgl2_closed``, the census equals the fold rule's transitions, and
+    validate runs its census."""
+    from buildingflow import analysis, shift
+
+    code, out, _ = run(
+        capsys, "count", "--flow", "pgl2", "--method", "oracle", "--q", "67", "--steps", "3", "--format", "json"
+    )
+    assert code == 0
+    rows = [(r["n"], int(r["count"])) for r in json.loads(out)["rows"]]
+    assert rows == [(2, analysis.pgl2_closed(67, 2, "g"))]
+    code, out, _ = run(capsys, "weights", "--from-oracle", "--q", "67", "--m-max", "2", "--format", "json")
+    assert code == 0
+    census: dict = {}
+    for rec in json.loads(out)["edges"]:
+        src, dst = (shift.QuotientEdge.from_doubled(rec[k]["k2"], rec[k]["l2"]) for k in ("from", "to"))
+        census.setdefault(src, {})[dst] = int(rec["weight"])
+    assert census == {e: shift.edge_transitions(e, 67) for e in shift.build_graph(67, 2)}
     code, out, _ = run(capsys, "validate", "--q", "67", "--steps", "3", "--m-max", "2")
     assert code == 0
     lines = {line.split()[1]: line for line in out.splitlines()[:-1]}
-    for name in ("census_vs_fold", "oracle_period_zeros", "pgl2_closed_vs_oracle"):
-        assert lines[name].startswith("SKIP")
-        assert "capacity limit: tables unavailable for q=67" in lines[name]
-    assert "FAIL" not in out
+    assert lines["census_vs_fold"].startswith("PASS")
+    assert "FAIL" not in out and "capacity limit" not in out
 
 
 @pytest.mark.parametrize(
