@@ -510,13 +510,11 @@ def _reduce_rows(rows, detdeg, vec: _Vectors, plans=None):
 
     ``plans`` maps the rows' top vectors to their ``_reduction_plan``, as
     a ``_Table`` filled on first sight; without it every round solves
-    afresh.
-    Either way the steps, and so the rows, are the same.
+    afresh.  Either way the steps, and so the rows, are the same.
     """
     degs = [len(row) - 1 for row in rows]
     if -1 in degs:
         raise InternalConsistencyError("zero row in a vertex representative")
-    axpy, size = vec.axpy, vec.size
     for _ in range(sum(degs) - detdeg + 1):
         key = tuple([row[-1] for row in rows])
         plan = _reduction_plan(key, vec) if plans is None else plans[key]
@@ -530,14 +528,9 @@ def _reduce_rows(rows, detdeg, vec: _Vectors, plans=None):
         for i, _ in plan:
             if degs[i] > degs[i_star]:
                 i_star = i
-        d = degs[i_star]
-        new_row = [0] * (d + 1)
+        new_row: list[int] = []
         for i, c in plan:
-            ax = axpy[c]
-            for e, v in enumerate(rows[i], d - degs[i]):
-                new_row[e] = ax[new_row[e] * size + v]
-        while new_row and not new_row[-1]:
-            new_row.pop()
+            _add_multiple(new_row, rows[i], c, degs[i_star] - degs[i], vec)
         if not new_row:
             raise InternalConsistencyError("row reduction produced a zero row")
         rows[i_star] = new_row
@@ -590,7 +583,7 @@ def _popov(rows, degs, vec: _Vectors):
     for row, i in zip(rows, order):
         if piv[i][1] != 1:
             ax = vec.axpy[inv(piv[i][1])]
-            row[:] = [ax[v] for v in row]  # a = 0: the multiple alone
+            row[:] = [ax[v] for v in row]  # the key 0 * size + v gives c v
     low = min(degs)
     for i, row in enumerate(rows):
         others = [(j, degs[j]) for j in range(dim - 1, -1, -1) if j != i]
