@@ -666,6 +666,7 @@ class _Walker(_Vectors):
     def __init__(self, field: FiniteField, dim: int):
         super().__init__(field, dim)
         self.plans = _Table(lambda key: _reduction_plan(key, self))
+        self.edges = _Table(lambda pairs: _sector_edge(*pairs))
         self.moves = []
         for u in continuation_moves(field, dim):
             x = [[{e - 1: c for e, c in ent.items()} for ent in u.rows[0]], *u.rows[1:]]  # a^-1 u
@@ -773,8 +774,10 @@ class _Walker(_Vectors):
 
     def quotient(self, src_degs, degs) -> shift_mod.QuotientEdge:
         """Quotient edge of an edge whose source and target have the row
-        degrees src_degs and degs (dim 3)."""
-        return _sector_edge(_pair_from_degs(src_degs, self.dim), _pair_from_degs(degs, self.dim))
+        degrees src_degs and degs (dim 3), from ``edges``, keyed by the
+        two invariants; a pair that is not sector-adjacent raises on
+        every call, as a failed fill stores nothing."""
+        return self.edges[_pair_from_degs(src_degs, self.dim), _pair_from_degs(degs, self.dim)]
 
 
 def _count_run(field: FiniteField, dim: int, n: int) -> tuple[int, int]:

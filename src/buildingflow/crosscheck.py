@@ -95,13 +95,14 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     tree_ran = [n for n in (2, 4, 6) if leaves(q, n, 2) <= cfg.max_leaves]
     reach = {3: max(oracle_ran + probe_ran, default=1), 2: max(tree_ran, default=1)}
     # One DP sweep per kind (closed, first-return) to the longest n any
-    # check reads (N_12 for three_step_recursion), and one oracle walk per
-    # dim to the longest n any check runs, each made inside the first
-    # check that needs it.  A fault is that check's FAIL, and every later
+    # check reads (N_12 for three_step_recursion), one oracle walk per
+    # dim to the longest n any check runs, and the three-step
+    # coefficients once, each made inside the first check that needs it.  A fault is that check's FAIL, and every later
     # reader's too: functools.cache keeps no exceptions.
     horizon = max([12, *grid, *oracle_ran])
     sweep = functools.cache(lambda taboo: list(shift.dp_sweep(q, horizon, taboo)))
     walk = functools.cache(lambda dim: building.oracle_returns(q, reach[dim], dim, cfg.max_leaves))
+    coefficients = functools.cache(lambda: shift.three_step_coefficients(q))
 
     def counts(steps: list[int], taboo: bool = False) -> list[int]:
         return [sweep(taboo)[n].get(base, 0) for n in steps]
@@ -190,13 +191,13 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
 
     def three_step():
         # raises unless the coefficients equal the expected polynomials
-        got = str(shift.three_step_coefficients(q))
+        got = str(coefficients())
         return CheckResult("three_step_coefficients", True, expected=got, actual=got)
 
     results.append(_check("three_step_coefficients", three_step))
 
     def three_step_recursion():
-        coeffs = shift.three_step_coefficients(q)
+        coeffs = coefficients()
         profs = sweep(False)
         bad = []
         for n in (1, 2, 3):

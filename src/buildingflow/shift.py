@@ -117,12 +117,16 @@ class QuotientEdge(NamedTuple):
         return (self.target.m - self.source.m, self.target.n - self.source.n)
 
     def is_valid(self) -> bool:
-        return (
-            self.source.is_valid()
-            and self.target.is_valid()
-            and self.displacement in DISPLACEMENTS
-            and self.target in sector_neighbors(self.source)
-        )
+        """Both endpoints lie in the sector and the step is R, U or D.
+
+        That makes the target one of ``sector_neighbors(source)``: from an
+        interior source R, U and D all stay in the sector; from the axis
+        R and U do, and D leaves it (n < 0); from the diagonal R and D
+        do, and U leaves it (n > m); from the origin only R does.  Each
+        step that stays is listed among the neighbours of its case.
+        """
+        (sm, sn), (tm, tn) = self
+        return sm >= sn >= 0 and tm >= tn >= 0 and (tm - sm, tn - sn) in DISPLACEMENTS
 
     @classmethod
     def from_vertices(cls, sm: int, sn: int, tm: int, tn: int) -> "QuotientEdge":
@@ -209,18 +213,22 @@ def edge_transitions(edge: QuotientEdge, q: int) -> dict[QuotientEdge, int]:
 
 
 def all_valid_edges(m_max: int) -> list[QuotientEdge]:
-    """Every type-1 quotient edge with both endpoint m-coordinates <= m_max."""
+    """Every type-1 quotient edge with both endpoint m-coordinates <= m_max,
+    in (k2, l2) order.  An even k2 = 2m names the U edges out of (m, n),
+    n < m; an odd k2 = 2m + 1 names the D edge into (m, n - 1) at l2 =
+    2n - 1 and the R edge out of (m, n) at l2 = 2n."""
+    V, E = QVertex, QuotientEdge
     out = []
-    for m in range(m_max + 1):
-        for n in range(m + 1):
-            src = QVertex(m, n)
-            for d in DISPLACEMENTS:
-                tgt = QVertex(m + d[0], n + d[1])
-                if tgt.is_valid() and tgt.m <= m_max:
-                    e = QuotientEdge(src, tgt)
-                    if e.is_valid():
-                        out.append(e)
-    out.sort(key=lambda e: (e.k2, e.l2))
+    for k2 in range(1, 2 * m_max + 1):
+        m = k2 // 2
+        if k2 % 2 == 0:
+            out += [E(V(m, n), V(m, n + 1)) for n in range(m)]
+            continue
+        for n in range(m + 2):
+            if n:
+                out.append(E(V(m + 1, n), V(m, n - 1)))
+            if n <= m:
+                out.append(E(V(m, n), V(m + 1, n)))
     return out
 
 

@@ -666,8 +666,19 @@ def test_census_examples():
 
 
 def test_census_equals_fold_rule_small():
-    for q in (2, 3):
-        assert building.oracle_transition_census(q, 4) == shift.build_graph(q, 4)
+    for q, m_max in ((2, 4), (3, 4), (5, 5)):
+        assert building.oracle_transition_census(q, m_max) == shift.build_graph(q, m_max)
+
+
+def test_walker_quotient_refuses_a_non_adjacent_pair_on_every_call():
+    """The walker's edge table stores no failed lookup, so a pair of
+    invariants that is not sector-adjacent raises each time."""
+    wk = building._Walker(F2, 3)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="not sector-adjacent"):
+            wk.quotient([0, 0, 0], [3, 0, 0])  # (0, 0) -> (3, 0)
+    assert wk.quotient([0, 0, 0], [1, 0, 0]) is wk.quotient([0, 0, 0], [1, 0, 0]) == shift.base_edge()
+    assert list(wk.edges) == [((0, 0), (1, 0))]
 
 
 def test_find_lift():

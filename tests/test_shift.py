@@ -32,6 +32,37 @@ def test_sector_neighbors_cases():
     }
 
 
+def _neighbour_list_is_valid(e):
+    """The edge predicate with the ``sector_neighbors`` conjunct that
+    ``QuotientEdge.is_valid`` leaves out as implied by the other three."""
+    return (
+        e.source.is_valid()
+        and e.target.is_valid()
+        and e.displacement in shift.DISPLACEMENTS
+        and e.target in shift.sector_neighbors(e.source)
+    )
+
+
+def test_edge_validity_needs_no_neighbour_list():
+    points = [QVertex(m, n) for m in range(-2, 13) for n in range(-2, 13)]
+    edges = [QuotientEdge(s, t) for s in points for t in points]
+    assert [e for e in edges if e.is_valid() != _neighbour_list_is_valid(e)] == []
+    assert sum(map(QuotientEdge.is_valid, edges)) == 3 * 78  # 78 each of R, U and D in the box
+
+
+def test_all_valid_edges_is_the_sorted_filtered_enumeration():
+    for m_max in range(21):
+        raw = (
+            QuotientEdge(QVertex(m, n), QVertex(m + dm, n + dn))
+            for m in range(m_max + 1)
+            for n in range(m + 1)
+            for dm, dn in shift.DISPLACEMENTS
+            if m + dm <= m_max
+        )
+        want = sorted(filter(_neighbour_list_is_valid, raw), key=lambda e: (e.k2, e.l2))
+        assert shift.all_valid_edges(m_max) == want
+
+
 def test_fold_examples():
     for m in range(1, 5):
         assert shift.fold(m - 1, -1) == QVertex(m, 1)
