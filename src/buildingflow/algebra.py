@@ -443,31 +443,7 @@ def matrix_rank(field: FiniteField, rows: list[list[int]], ncols: int | None = N
     """Rank over F_q by Gaussian elimination (exact)."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if not rows or ncols == 0:
-        return 0
-    if field.q == 2:
-        packed = []
-        for r in rows:
-            acc = 0
-            for j, v in enumerate(r):
-                if v & 1:
-                    acc |= 1 << j
-            packed.append(acc)
-        return _rank_gf2(packed)
     return len(_echelon(field, rows, ncols)[1])
-
-
-def _rank_gf2(packed_rows: list[int]) -> int:
-    """Rank of bit-packed GF(2) rows."""
-    basis: list[int] = []
-    for row in packed_rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-    return len(basis)
 
 
 def _echelon(field: FiniteField, rows: list[list[int]], ncols: int) -> tuple[list, list[int]]:
