@@ -97,8 +97,9 @@ def run_validation(cfg: ValidationConfig) -> list[CheckResult]:
     # One DP sweep per kind (closed, first-return) to the longest n any
     # check reads (N_12 for three_step_recursion), one oracle walk per
     # dim to the longest n any check runs, and the three-step
-    # coefficients once, each made inside the first check that needs it.  A fault is that check's FAIL, and every later
-    # reader's too: functools.cache keeps no exceptions.
+    # coefficients once, each made inside the first check that needs
+    # it.  A fault is that check's FAIL, and every later reader's too:
+    # functools.cache keeps no exceptions.
     horizon = max([12, *grid, *oracle_ran])
     sweep = functools.cache(lambda taboo: list(shift.dp_sweep(q, horizon, taboo)))
     walk = functools.cache(lambda dim: building.oracle_returns(q, reach[dim], dim, cfg.max_leaves))

@@ -223,12 +223,12 @@ def all_valid_edges(m_max: int) -> list[QuotientEdge]:
         m = k2 // 2
         if k2 % 2 == 0:
             out += [E(V(m, n), V(m, n + 1)) for n in range(m)]
-            continue
-        for n in range(m + 2):
-            if n:
-                out.append(E(V(m + 1, n), V(m, n - 1)))
-            if n <= m:
-                out.append(E(V(m, n), V(m + 1, n)))
+        else:
+            for n in range(m + 2):
+                if n:
+                    out.append(E(V(m + 1, n), V(m, n - 1)))
+                if n <= m:
+                    out.append(E(V(m, n), V(m + 1, n)))
     return out
 
 
