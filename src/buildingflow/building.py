@@ -26,23 +26,23 @@ a word reaches, with R's row degrees (see ``_Walker``), so its quotient
 edge is read off two degree lists, and each of its q^2 continuations
 costs one fused move and one reduction, of its own target.  Each row is
 one polynomial whose coefficients are vectors of F_q^dim packed into
-ints (``_Vectors``), so a reduction or Popov step is one table lookup
-per degree and term.  Reduction acts on the left by Gamma =
-GL_dim(F_q[t]) and the moves on the right, so everything below an edge
-depends only on the Gamma-orbit of R, whose key is its Popov form
-(``_popov``).  The counts and the terminal profile walk level by level
-and expand one edge per orbit, carrying how many words reach it
-(``_Walker.merged``).  The counts (``oracle_returns``) read every length
-up to n off one walk that skips the states too far from the origin to
-return by length n: at (q, n) = (2, 9) that is 725 reductions against
-1,261 without the skip and 87,381 over every word, at (3, 6) 217
-against 370 and 66,430, and at (5, 6) 1,051 against 1,626 and 10.2
-million.  On one pinned core of a 2-vCPU Xeon under Python 3.11
-``oracle_g_f`` takes ≈0.011 s of CPU at (2, 9), 0.006 s at (3, 6) and
-0.03 s at (5, 6), against 0.023, 0.012 and 0.05 s without the skip.
-``_count_run`` keeps the walk over every word as the reference the tests
-hold the merged counts against.  The census (breadth first by
-``_Walker.successors``) and the prefix sweep (depth first by
+ints (``_Vectors``), so a reduction step is one table lookup per degree
+and term.  Reduction acts on the left by Gamma = GL_dim(F_q[t]) and the
+moves on the right, so everything below an edge depends only on the
+edge's Gamma-orbit, which its key (``_Walker.key``: the target's sorted
+row degrees and one plane of its leading coefficients) names.  The
+counts and the terminal profile walk level by level and expand one edge
+per key, carrying how many words reach it (``_Walker.merged``).  The
+counts (``oracle_returns``) read every length up to n off one walk that
+skips the states too far from the origin to return by length n: at (q,
+n) = (2, 9) that is 169 reductions against 321 without the skip and
+87,381 over every word, at (3, 6) 127 against 217 and 66,430, and at
+(5, 6) 351 against 601 and 10.2 million.  On one pinned core of a
+2-vCPU Xeon under Python 3.11 ``oracle_g_f`` takes ≈2.7 ms of CPU at (2,
+9), 3.6 ms at (3, 6) and 12 ms at (5, 6), against 4.3, 4.6 and 14 ms
+without the skip.  ``_count_run`` keeps the walk over every word as the
+reference the tests hold the merged counts against.  The census (breadth
+first by ``_Walker.successors``) and the prefix sweep (depth first by
 ``_Walker.walk``) expand every edge they visit, reducing 1 + q^2 E times
 for a census of E quotient edges and sum_{k<=max_len+1} q^(2k) times for
 the prefix sweep.
@@ -540,60 +540,6 @@ def _reduce_rows(rows, detdeg, vec: _Vectors, plans=None):
     )
 
 
-def _popov(rows, degs, vec: _Vectors):
-    """Finish the row-reduced packed ``rows``, of row degrees ``degs``, to
-    the Popov form of their orbit under Gamma = GL_dim(F_q[t]) on the
-    left, in place; returns the form as a key, equal for two matrices
-    exactly when they lie in one orbit.
-
-    A row's pivot is its rightmost entry of full degree, the last nonzero
-    coordinate of its top vector.
-    1. Weak Popov form by the simple transformations of Mulders &
-       Storjohann (J. Symbolic Comput. 35, 2003): while two rows share a
-       pivot column, take c t^s times the one of lower degree from the
-       other so that its pivot term cancels.  That row keeps its degree,
-       as the rows are row-reduced, and its pivot moves left.
-    2. The rows go in the order of their pivot columns.
-    3. Each pivot is made monic.
-    4. Each term c t^e in column j of a row other than j, with e >=
-       degs[j], is cancelled by c t^(e - degs[j]) times row j, the largest
-       term first (by degree, then column).  Row j's terms are smaller in
-       that order, so no pivot moves, the terms only fall, and one pass
-       down the degrees and columns meets them in that order.
-    No pivot then divides an off-pivot term: the rows are the reduced
-    Groebner basis of their row module for the term-over-position order,
-    so the form is unique (Beckermann, Labahn & Villard, J. Symbolic
-    Comput. 41, 2006).  ``degs`` is permuted with the rows.
-    """
-    dim = len(rows)
-    pivot, digits = vec.pivot, vec.digits
-    neg, inv, mul = vec.ops.neg, vec.ops.inv, vec.ops.mul
-    piv = [pivot[row[-1]] for row in rows]
-    while len({j for j, _ in piv}) < dim:
-        i, k = next((i, k) for i in range(dim) for k in range(i) if piv[i][0] == piv[k][0])
-        if degs[i] < degs[k]:
-            i, k = k, i
-        _add_multiple(rows[i], rows[k], neg(mul(piv[i][1], inv(piv[k][1]))), degs[i] - degs[k], vec)
-        if len(rows[i]) - 1 != degs[i]:
-            raise InternalConsistencyError("a Popov step changed a row degree")
-        piv[i] = pivot[rows[i][-1]]
-    order = sorted(range(dim), key=piv.__getitem__)
-    rows[:] = [rows[i] for i in order]
-    degs[:] = [degs[i] for i in order]
-    for row, i in zip(rows, order):
-        if piv[i][1] != 1:
-            ax = vec.axpy[inv(piv[i][1])]
-            row[:] = [ax[v] for v in row]  # the key 0 * size + v gives c v
-    low = min(degs)
-    for i, row in enumerate(rows):
-        others = [(j, degs[j]) for j in range(dim - 1, -1, -1) if j != i]
-        for e in range(len(row) - 1, low - 1, -1):
-            for j, d in others:
-                if d <= e and digits[row[e]][j]:
-                    _add_multiple(row, rows[j], neg(digits[row[e]][j]), e - d, vec)
-    return tuple(map(tuple, rows))
-
-
 def _pair_from_degs(degs, dim):
     s = sorted(degs, reverse=True)
     if dim == 3:
@@ -636,7 +582,7 @@ class _Walker(_Vectors):
     ``start`` gives the base edge (the empty word) and ``successors`` the
     q^2 continuations of an edge in ``continuation_moves`` order; ``walk``
     drives both depth first over every word, ``merged`` level by level
-    over one edge per orbit.  Each move is u_j = a X_j, a the straight
+    over one edge per orbit key (``key``).  Each move is u_j = a X_j, a the straight
     move, and the walker raises ``InternalConsistencyError`` unless each
     X_j = a^-1 u_j is constant and invertible over F_q.  Then LC(M X_j) =
     LC(M) X_j keeps the row space of LC's transpose, so its RREF, the null
@@ -657,16 +603,15 @@ class _Walker(_Vectors):
     bounds the walk (``max_leaves`` for the counting walks, ``m_max`` or
     ``max_len`` for the census and prefix sweeps), and the memo and the
     vector tables, each entry of which a lookup of the walk made, go with
-    the walker.  At (q, n) = (2, 9) a continuation, with its fused move,
-    reduction and Popov key, costs ≈16 µs of CPU, against ≈31 µs on the
-    coefficient lists (one list of field elements per entry) that the
-    packed rows replaced.
+    the walker.  ``normals`` memoises the plane of ``key`` the same way,
+    by the sorted top vectors of the targets the merged walk keys.
     """
 
     def __init__(self, field: FiniteField, dim: int):
         super().__init__(field, dim)
         self.plans = _Table(lambda key: _reduction_plan(key, self))
         self.edges = _Table(lambda pairs: _sector_edge(*pairs))
+        self.normals = _Table(self._normal)
         self.moves = []
         for u in continuation_moves(field, dim):
             x = [[{e - 1: c for e, c in ent.items()} for ent in u.rows[0]], *u.rows[1:]]  # a^-1 u
@@ -725,13 +670,14 @@ class _Walker(_Vectors):
                 stack += reversed(succs)
 
     def merged(self, root, limit, horizon=None):
-        """Level by level from ``root``, one edge per orbit of targets:
-        yields (depth, edge, words, free, its successors) for every state
-        of depth < limit that ``horizon`` keeps.  A state stands for the
-        ``words`` edges of its depth whose targets have its Popov form
-        (``_popov``), ``free`` of them with no earlier edge's target at
-        the origin.  Everything below an edge depends only on its target's
-        orbit, since the moves act on the right and reduction on the left.
+        """Level by level from ``root``, one edge per orbit key: yields
+        (depth, edge, words, free, its successors) for every state of
+        depth < limit that ``horizon`` keeps.  A state stands for the
+        ``words`` edges of its depth that have its ``key``, ``free`` of
+        them with no earlier edge's target at the origin.  Everything
+        below an edge depends only on its Gamma-orbit, since the moves act
+        on the right and reduction on the left, and equal keys mean one
+        orbit.
         The successors of depth < limit are merged into the next level:
         each adds words, and free unless the state's own target is the
         origin.  So each state is expanded once, and the last successors
@@ -767,10 +713,41 @@ class _Walker(_Vectors):
                     free = 0
                 for succ, m_succ in zip(succs, ms):
                     if m_succ < bound - depth:
-                        state = nxt.setdefault(_popov(succ[0], succ[1], self), [succ, 0, 0])
+                        state = nxt.setdefault(self.key(*succ), [succ, 0, 0])
                         state[1] += words
                         state[2] += free
             level = nxt.values()
+
+    def key(self, rows, degs):
+        """The merge key of an edge of target R, in ``rows`` of row degrees
+        ``degs``: with R's rows sorted stably by degree, their degrees λ
+        less the least one, and ``normals`` of their top vectors.  Equal
+        keys at one depth mean one Gamma-orbit of edges, so one future:
+        1. R is row-reduced, so t^-λ R lies in K with constant term c =
+           LC(R), invertible (``_reduce_rows``): R = t^λ c k, k = 1 mod
+           t^-1.  The edge, Gamma-equivalent to (R a^-1 K, R K), is then
+           E(λ, c) = (t^λ c a^-1 K, t^λ K), as a k a^-1 lies in K.  And
+           c' a^-1 K = c a^-1 K exactly when c^-1 c' lies in P' = {p :
+           p_0j = 0 for j > 0}, that is, when the columns 1 .. dim - 1 of
+           c and of c' span one plane.
+        2. Sorting the rows is the left action of a permutation matrix,
+           which lies in Gamma and permutes c's rows with λ; and t^k is
+           central and a vertex is a class up to scalars, so λ less its
+           least entry names the same edge at a known depth.
+        The key is not canonical: the constants p with t^λ p t^-λ in
+        Gamma act on c from the left too, and rows of equal degree keep
+        their order, so one orbit may still give several keys."""
+        order = sorted(range(self.dim), key=degs.__getitem__)
+        low = degs[order[0]]
+        return tuple([degs[i] - low for i in order]), self.normals[tuple([rows[i][-1] for i in order])]
+
+    def _normal(self, tops):
+        """The packed normal vector, last nonzero coordinate 1, of the plane
+        spanned by columns 1 .. dim - 1 of the invertible matrix whose rows
+        are the packed vectors ``tops``: the one ``kernel_basis`` vector of
+        those columns."""
+        cols = list(zip(*map(self.digits.__getitem__, tops)))
+        return self.pack(kernel_basis(self.ops, cols[1:], self.dim)[0])
 
     def quotient(self, src_degs, degs) -> shift_mod.QuotientEdge:
         """Quotient edge of an edge whose source and target have the row

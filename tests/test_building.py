@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from buildingflow import building, shift
+from buildingflow import analysis, building, shift
 from buildingflow.algebra import FiniteField, LaurentMatrix, laurent_mul
 from buildingflow.building import (
     BDirectedEdge,
@@ -26,6 +26,7 @@ from buildingflow.building import (
     vertex_type,
 )
 from buildingflow.errors import BudgetExceededError, InternalConsistencyError
+from reference import popov, popov_key, popov_walk  # noqa: F401 (popov_walk is a fixture)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -435,15 +436,10 @@ def test_prefix_sweep_reduction_count(monkeypatch):
     assert len(calls) == 820 == sum(9**k for k in range(4))
 
 
-@pytest.mark.parametrize("q,n,reductions", [(2, 9, 725), (3, 6, 217)])
-def test_merged_walk_reduces_once_per_state(q, n, reductions, monkeypatch):
-    """The merged count reduces the base edge and the q^2 continuations
-    of each state it expands, one per orbit of targets at depth < n - 1
-    that can still return by length n: 725 reductions at (2, 9) where
-    the unpruned merged walk makes 1,261 and the exhaustive walk 87,381,
-    and 217 at (3, 6) against 370 and 66,430."""
+def _reductions_per_state(q, n, reductions, monkeypatch):
     calls = _counting_reducer(monkeypatch)
-    assert building.oracle_g_f(q, n) == (shift.dp_g(q, n), shift.dp_f(q, n))
+    leaves = building.oracle_leaves(q, n)
+    assert building.oracle_g_f(q, n, max_leaves=leaves) == (shift.dp_g(q, n), shift.dp_f(q, n))
     assert len(calls) == reductions
     calls.clear()
     wk = building._Walker(FiniteField(q), 3)
@@ -451,17 +447,26 @@ def test_merged_walk_reduces_once_per_state(q, n, reductions, monkeypatch):
     assert len(calls) == 1 + q * q * states == reductions
 
 
-@pytest.mark.parametrize(
-    "q,n,states,reductions",
-    [
-        (2, 9, [1, 2, 4, 8, 16, 29, 44, 77], [1, 4, 8, 16, 32, 64, 116, 176, 308]),
-        (3, 6, [1, 2, 4, 6, 11], [1, 9, 18, 36, 54, 99]),
-    ],
-)
-def test_merged_walk_work_per_depth(q, n, states, reductions, monkeypatch):
-    """The pruned merged count expands states[d] states at depth d and
-    reduces reductions[d] edges of depth d: the base edge, then the q^2
-    continuations of each state of the depth above."""
+@pytest.mark.parametrize("q,n,reductions", [(2, 9, 169), (3, 6, 127), (2, 30, 4065), (3, 15, 1432)])
+def test_merged_walk_reduces_once_per_state(q, n, reductions, monkeypatch):
+    """The merged count reduces the base edge and the q^2 continuations
+    of each state it expands, one per orbit key of the edges of depth <
+    n - 1 that can still return by length n: 169 reductions at (2, 9)
+    where the unpruned walk makes 321, the Popov-keyed walk 725 and the
+    exhaustive walk 87,381, and 127 at (3, 6) against 217, 217 and
+    66,430."""
+    _reductions_per_state(q, n, reductions, monkeypatch)
+
+
+@pytest.mark.parametrize("q,n,reductions", [(2, 9, 725), (3, 6, 217)])
+def test_popov_walk_reduces_once_per_state(q, n, reductions, popov_walk, monkeypatch):
+    """The same count with its states keyed by their targets' Popov
+    forms, a finer key than the edge's orbit: more states, more
+    reductions, the same g and f."""
+    _reductions_per_state(q, n, reductions, monkeypatch)
+
+
+def _work_per_depth(q, n, states, reductions, monkeypatch):
     depths = []
     reduce = building._reduce_rows
 
@@ -475,6 +480,38 @@ def test_merged_walk_work_per_depth(q, n, states, reductions, monkeypatch):
     assert [expanded[d] for d in range(n - 1)] == states
     assert [Counter(depths)[d] for d in range(n)] == reductions
     assert reductions == [1] + [q * q * s for s in states]
+
+
+_ORBIT_STATES = [
+    (2, 9, [1, 2, 4, 7, 9, 10, 6, 3]),
+    (3, 6, [1, 2, 4, 4, 3]),
+    (2, 30, [1, 2, 4, 7, 10, 15, 18, 23, 29, 34, 40, 48, 54, 62, 71, 76, 79, 80, 73, 65, 57, 45, 36, 30, 21, 15, 12, 6, 3]),
+    (3, 15, [1, 2, 4, 7, 10, 15, 18, 22, 24, 20, 15, 12, 6, 3]),
+]
+
+
+@pytest.mark.parametrize(
+    "q,n,states,reductions", [(q, n, s, [1] + [q * q * x for x in s]) for q, n, s in _ORBIT_STATES]
+)
+def test_merged_walk_work_per_depth(q, n, states, reductions, monkeypatch):
+    """The pruned merged count expands states[d] states at depth d and
+    reduces reductions[d] edges of depth d: the base edge, then the q^2
+    continuations of each state of the depth above.  The states rise and
+    fall again, as the prune keeps only the edges near enough to the
+    origin to return by length n."""
+    _work_per_depth(q, n, states, reductions, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "q,n,states,reductions",
+    [
+        (2, 9, [1, 2, 4, 8, 16, 29, 44, 77], [1, 4, 8, 16, 32, 64, 116, 176, 308]),
+        (3, 6, [1, 2, 4, 6, 11], [1, 9, 18, 36, 54, 99]),
+    ],
+)
+def test_popov_walk_work_per_depth(q, n, states, reductions, popov_walk, monkeypatch):
+    """The Popov-keyed count's states and reductions per depth."""
+    _work_per_depth(q, n, states, reductions, monkeypatch)
 
 
 _MERGED_CASES = [
@@ -515,6 +552,59 @@ def test_pruned_walk_matches_unpruned(q, n, dim, monkeypatch):
         building._Walker, "merged", lambda self, root, limit, horizon=None: real(self, root, limit)
     )
     assert pruned == building.oracle_returns(q, n, dim, max_leaves=q ** (2 * n))
+
+
+@pytest.mark.parametrize("q,n", [(2, 12), (3, 9), (5, 6)])
+def test_orbit_walk_matches_popov_walk(q, n, monkeypatch):
+    """Keyed by the edge's orbit or by the target's Popov form, the walk
+    gives the same g and f at every length."""
+    leaves = building.oracle_leaves(q, n)
+    walked = building.oracle_returns(q, n, max_leaves=leaves)
+    monkeypatch.setattr(building._Walker, "key", popov_key)
+    assert walked == building.oracle_returns(q, n, max_leaves=leaves)
+
+
+@pytest.mark.parametrize("q,n,dim", [(2, 30, 3), (5, 15, 3), (2, 40, 2), (5, 20, 2)])
+def test_orbit_walk_matches_closed_forms(q, n, dim):
+    """The walk's g and f equal the closed forms at every length up to
+    n: ``closed_g``/``closed_f`` in dim 3, ``pgl2_closed`` on the tree."""
+    walked = building.oracle_returns(q, n, dim, max_leaves=building.oracle_leaves(q, n, dim))
+    if dim == 3:
+        want = [(analysis.closed_g(q, k), analysis.closed_f(q, k)) for k in range(1, n + 1)]
+    else:
+        want = [(analysis.pgl2_closed(q, k, "g"), analysis.pgl2_closed(q, k, "f")) for k in range(1, n + 1)]
+    assert walked[1:] == want
+
+
+@pytest.mark.parametrize("q,n,merges", [(2, 8, 212), (3, 5, 178), (5, 4, 327)])
+def test_every_merge_keeps_the_successor_quotient_edges(q, n, merges):
+    """The Markov premise on every merge of the unpruned walk down to
+    depth n: a successor that merges into a state is a second
+    representative of its edge orbit, so its continuations have the quotient edges of the first
+    representative's, as a multiset.  The quotient edge is an orbit
+    invariant, so the check needs no canonical key."""
+    wk = building._Walker(FiniteField(q), 3)
+    key, first, mismatches = wk.key, {}, []
+
+    def tally(edge):
+        return Counter(wk.quotient(edge[1], d) for _, d in wk.successors(edge))
+
+    def checked(rows, degs):
+        k = key(rows, degs)
+        seen = tally((rows, degs))
+        want = first.setdefault((sum(degs), k), seen)
+        if want is not seen:
+            checked.merges += 1
+            if want != seen:
+                mismatches.append((k, dict(seen), dict(want)))
+        return k
+
+    checked.merges = 0
+    wk.key = checked
+    for _ in wk.merged(wk.start(), n + 1):
+        pass
+    assert mismatches == []
+    assert checked.merges == merges
 
 
 def test_merged_walk_refuses_m_falling_by_two():
@@ -593,7 +683,7 @@ def _popov_of(mat):
     vec = building._Vectors(mat.field, mat.dim)
     rows = vec.rows_of(mat)
     degs = building._reduce_rows(rows, max(mat.det_adj()[0]), vec)
-    return building._popov(rows, degs, vec), degs
+    return popov(rows, degs, vec), degs
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -610,7 +700,7 @@ def test_popov_form_is_a_gamma_orbit_invariant(q):
     targets = [wk.to_matrix(r) for _, (r, _), _ in wk.walk(wk.start(), 3 if q < 4 else 2)]
     for mat in rng.sample(targets, 12):
         want, degs = _popov_of(mat)
-        assert building._popov([list(row) for row in want], list(degs), wk) == want
+        assert popov([list(row) for row in want], list(degs), wk) == want
         form = wk.to_matrix(want).rows
         for j, row in enumerate(form):
             assert max(row[j], default=-1) == degs[j] and row[j][degs[j]] == 1
@@ -648,10 +738,11 @@ def test_walker_mixes_are_constant_and_invertible(q, dim, monkeypatch):
             building._Walker(field, dim)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "n,q", [(n, q) for q in (2, 3, 4) for n in range(4)] + [(24, 2), (15, 3), (12, 4), (9, 5)]
+)
 def test_oracle_terminal_profile_matches_dp(n, q):
-    prof = building.oracle_terminal_profile(q, n)
+    prof = building.oracle_terminal_profile(q, n, max_leaves=building.oracle_leaves(q, n))
     assert prof == shift.dp_profiles(q, n)[n]
 
 
