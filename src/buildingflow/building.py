@@ -582,9 +582,9 @@ class _Walker(_Vectors):
     ``start`` gives the base edge (the empty word) and ``successors`` the
     q^2 continuations of an edge in ``continuation_moves`` order; ``walk``
     drives both depth first over every word, ``merged`` level by level
-    over one edge per orbit key (``key``).  Each move is u_j = a X_j, a the straight
-    move, and the walker raises ``InternalConsistencyError`` unless each
-    X_j = a^-1 u_j is constant and invertible over F_q.  Then LC(M X_j) =
+    over one edge per orbit key (``key``).  Each move is u_j = a X_j, a
+    the straight move, and the walker raises ``InternalConsistencyError``
+    unless each X_j = a^-1 u_j is constant and invertible over F_q.  Then LC(M X_j) =
     LC(M) X_j keeps the row space of LC's transpose, so its RREF, the null
     vector ``_reduction_plan`` takes from it and every round's step: so
     reduce(P u_j) = R X_j, with R's row degrees.  Continuation j is the

@@ -2,10 +2,11 @@
 
 ``popov`` is the Popov form of a walk target, the exact invariant of the
 target matrix's Gamma-orbit, and the merge key the oracle walk used
-before it keyed its states by the edge's orbit (``_Walker.key``).  It is
-finer than that key: one orbit of edges splits into many Popov forms,
-so a walk keyed by it makes the same counts from more states.  The
-``popov_walk`` fixture runs every walk of a test on it.
+before it keyed its states by the edge's orbit (``_Walker.key``).  One
+orbit of edges holds many orbits of target matrices, so a walk keyed by
+the Popov form makes the same counts from more states: 725 reductions
+against 169 at (q, n) = (2, 9).  The ``popov_walk`` fixture runs every
+walk of a test on it.
 """
 
 import pytest

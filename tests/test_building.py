@@ -461,8 +461,8 @@ def test_merged_walk_reduces_once_per_state(q, n, reductions, monkeypatch):
 @pytest.mark.parametrize("q,n,reductions", [(2, 9, 725), (3, 6, 217)])
 def test_popov_walk_reduces_once_per_state(q, n, reductions, popov_walk, monkeypatch):
     """The same count with its states keyed by their targets' Popov
-    forms, a finer key than the edge's orbit: more states, more
-    reductions, the same g and f."""
+    forms, each the orbit of one target matrix, of which one orbit of
+    edges holds many: more states, more reductions, the same g and f."""
     _reductions_per_state(q, n, reductions, monkeypatch)
 
 
@@ -580,9 +580,10 @@ def test_orbit_walk_matches_closed_forms(q, n, dim):
 def test_every_merge_keeps_the_successor_quotient_edges(q, n, merges):
     """The Markov premise on every merge of the unpruned walk down to
     depth n: a successor that merges into a state is a second
-    representative of its edge orbit, so its continuations have the quotient edges of the first
-    representative's, as a multiset.  The quotient edge is an orbit
-    invariant, so the check needs no canonical key."""
+    representative of its edge orbit, so its continuations have the
+    quotient edges of the first representative's, as a multiset.  The
+    quotient edge is an orbit invariant, so the check needs no canonical
+    key."""
     wk = building._Walker(FiniteField(q), 3)
     key, first, mismatches = wk.key, {}, []
 
